@@ -104,14 +104,17 @@ OfflineModel train_offline(const simlog::Trace& trace,
   model.train_end_ms = train_end_ms;
 
   // --- 1. HELO preprocessing over the training records -------------------
-  std::size_t train_count = 0;
+  // The training prefix ends at the first record at or past train_end_ms.
+  const std::size_t train_count = static_cast<std::size_t>(
+      std::find_if(trace.records.begin(), trace.records.end(),
+                   [train_end_ms](const simlog::LogRecord& rec) {
+                     return rec.time_ms >= train_end_ms;
+                   }) -
+      trace.records.begin());
   std::vector<std::uint32_t> tids;
-  tids.reserve(trace.records.size());
-  for (const auto& rec : trace.records) {
-    if (rec.time_ms >= train_end_ms) break;
-    tids.push_back(model.helo.classify(rec.message));
-    ++train_count;
-  }
+  tids.reserve(train_count);
+  for (std::size_t i = 0; i < train_count; ++i)
+    tids.push_back(model.helo.classify(trace.records[i].message));
   const std::size_t T = model.helo.size();
 
   // --- 2. Signal extraction (10 s sampling) -------------------------------

@@ -1,17 +1,69 @@
 #include "helo/helo.hpp"
 
+#include <array>
 #include <limits>
 
 #include "util/strings.hpp"
 
 namespace elsa::helo {
 
+namespace {
+
+/// The generalised numeric token; numeric message tokens view this literal.
+constexpr std::string_view kNumeric = "d+";
+/// The template token that matches any message token.
+constexpr std::string_view kWildcard = "*";
+
+/// Tokens a message may have before its views spill to the heap. The
+/// longest generated message has 19 tokens (BG/L) and 10 (Mercury), so
+/// serving them never allocates.
+constexpr std::size_t kInlineTokens = 32;
+
+/// Storage for one message's token views, on the classifying thread's
+/// stack: producers classify concurrently, so there is no shared scratch.
+struct TokenBuffer {
+  std::array<std::string_view, kInlineTokens> inline_tokens;
+  std::vector<std::string_view> spill;  ///< every token, once past inline
+};
+
+/// Split `message` on blanks and tabs, dropping empty tokens, and view each
+/// token, or kNumeric if it looks numeric. The views borrow `message`.
+std::span<const std::string_view> tokenize(std::string_view message,
+                                           TokenBuffer& buf) {
+  const auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < message.size();) {
+    if (blank(message[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i + 1;
+    while (j < message.size() && !blank(message[j])) ++j;
+    std::string_view token = message.substr(i, j - i);
+    if (util::looks_numeric(token)) token = kNumeric;
+    if (n < kInlineTokens) {
+      buf.inline_tokens[n] = token;
+    } else {
+      // elsa-lint: allow(realtime-allocates): only past kInlineTokens tokens
+      if (n == kInlineTokens)
+        buf.spill.assign(buf.inline_tokens.begin(), buf.inline_tokens.end());
+      buf.spill.push_back(token);
+    }
+    ++n;
+    i = j;
+  }
+  if (n > kInlineTokens) return buf.spill;
+  return {buf.inline_tokens.data(), n};
+}
+
+}  // namespace
+
 std::string Template::text() const { return util::join(tokens, " "); }
 
 std::size_t Template::wildcards() const {
   std::size_t n = 0;
   for (const auto& t : tokens)
-    if (t == "*" || t == "d+") ++n;
+    if (t == kWildcard || t == kNumeric) ++n;
   return n;
 }
 
@@ -31,15 +83,8 @@ TemplateMiner TemplateMiner::from_templates(std::vector<Template> templates,
   return m;
 }
 
-std::vector<std::string> TemplateMiner::generalize(std::string_view message) {
-  auto tokens = util::split(message, " \t");
-  for (auto& t : tokens)
-    if (util::looks_numeric(t)) t = "d+";
-  return tokens;
-}
-
 std::uint64_t TemplateMiner::bucket_key(std::size_t len,
-                                        const std::string& first) {
+                                        std::string_view first) {
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over the first token
   for (unsigned char c : first) {
     h ^= c;
@@ -49,8 +94,7 @@ std::uint64_t TemplateMiner::bucket_key(std::size_t len,
 }
 
 std::uint32_t TemplateMiner::best_match(
-    const Bucket& bucket, const std::vector<std::string>& tokens,
-    std::vector<std::size_t>* mismatch_positions) const {
+    const Bucket& bucket, std::span<const std::string_view> tokens) const {
   std::uint32_t best = kNoTemplate;
   std::size_t best_mismatches = std::numeric_limits<std::size_t>::max();
   const std::size_t allowed = static_cast<std::size_t>(
@@ -62,7 +106,7 @@ std::uint32_t TemplateMiner::best_match(
     bool viable = true;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
       const std::string& tt = t.tokens[i];
-      if (tt == "*" || tt == tokens[i]) continue;
+      if (tt == kWildcard || tt == tokens[i]) continue;
       if (++mismatches > allowed || mismatches >= best_mismatches) {
         viable = false;
         break;
@@ -74,45 +118,42 @@ std::uint32_t TemplateMiner::best_match(
       if (mismatches == 0) break;
     }
   }
-  if (best != kNoTemplate && mismatch_positions) {
-    mismatch_positions->clear();
-    const Template& t = templates_[best];
-    for (std::size_t i = 0; i < tokens.size(); ++i)
-      if (t.tokens[i] != "*" && t.tokens[i] != tokens[i])
-        mismatch_positions->push_back(i);
-  }
   return best;
 }
 
 std::uint32_t TemplateMiner::classify(std::string_view message) {
-  const auto tokens = generalize(message);
+  TokenBuffer buf;
+  const auto tokens = tokenize(message, buf);
   if (tokens.empty()) return kNoTemplate;
   Bucket& bucket = buckets_[bucket_key(tokens.size(), tokens.front())];
 
-  std::vector<std::size_t> mismatches;
-  const std::uint32_t best = best_match(bucket, tokens, &mismatches);
+  const std::uint32_t best = best_match(bucket, tokens);
   if (best != kNoTemplate) {
     Template& t = templates_[best];
-    for (const std::size_t pos : mismatches) t.tokens[pos] = "*";
+    for (std::size_t i = 0; i < tokens.size(); ++i)
+      if (t.tokens[i] != kWildcard && t.tokens[i] != tokens[i])
+        t.tokens[i] = "*";
     ++t.count;
     return best;
   }
 
   Template t;
   t.id = static_cast<std::uint32_t>(templates_.size());
-  t.tokens = tokens;
+  t.tokens.assign(tokens.begin(), tokens.end());
   t.count = 1;
   templates_.push_back(std::move(t));
   bucket.template_ids.push_back(templates_.back().id);
   return templates_.back().id;
 }
 
+// elsa-realtime: the serve producer classifies every record it submits.
 std::uint32_t TemplateMiner::classify_const(std::string_view message) const {
-  const auto tokens = generalize(message);
+  TokenBuffer buf;
+  const auto tokens = tokenize(message, buf);
   if (tokens.empty()) return kNoTemplate;
   const auto it = buckets_.find(bucket_key(tokens.size(), tokens.front()));
   if (it == buckets_.end()) return kNoTemplate;
-  return best_match(it->second, tokens, nullptr);
+  return best_match(it->second, tokens);
 }
 
 }  // namespace elsa::helo

@@ -9,7 +9,7 @@
 // Algorithm (offline and online are the same code path; online simply keeps
 // classifying into the same miner so new software versions create new
 // templates on the fly, as §III.A requires):
-//   1. tokenize on whitespace;
+//   1. tokenize on blanks and tabs;
 //   2. pre-generalise: numeric-looking tokens become "d+" immediately;
 //   3. bucket by (token count, first token) — the "hierarchical" part:
 //      messages of different lengths or different leading constants never
@@ -18,9 +18,15 @@
 //      mismatches at non-wildcard positions; if the best template's
 //      mismatch fraction is at or below `max_word_mismatch`, join it and
 //      wildcard the mismatching positions, else found a new template.
+//
+// Steps 1-4 run over string_views into the message (numeric tokens view
+// one static "d+"), held in a stack buffer that only messages of more than
+// 32 tokens outgrow, so classifying allocates nothing; only founding or
+// widening a template copies bytes into the template set.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -71,14 +77,12 @@ class TemplateMiner {
     std::vector<std::uint32_t> template_ids;
   };
 
-  static std::vector<std::string> generalize(std::string_view message);
-  static std::uint64_t bucket_key(std::size_t len, const std::string& first);
+  static std::uint64_t bucket_key(std::size_t len, std::string_view first);
 
-  /// Best template id in the bucket and its mismatch count; kNoTemplate if
-  /// the bucket is empty or nothing is within threshold.
+  /// Best template id in the bucket for the generalised `tokens`;
+  /// kNoTemplate if the bucket is empty or nothing is within threshold.
   std::uint32_t best_match(const Bucket& bucket,
-                           const std::vector<std::string>& tokens,
-                           std::vector<std::size_t>* mismatch_positions) const;
+                           std::span<const std::string_view> tokens) const;
 
   MinerConfig cfg_;
   std::vector<Template> templates_;

@@ -90,14 +90,12 @@ SubmitResult PredictionService::submit_result(const simlog::LogRecord& rec,
         if (depth == 0) return SubmitResult::kClosed;
         break;
       case OverflowPolicy::kDropOldest: {
-        bool evicted = false;
+        std::size_t evicted = 0;
         depth = ring.push_evict(item, &evicted);
+        // The displaced records were already counted ingested + in; they
+        // are now shed records, keeping conservation exact.
+        if (evicted != 0) metrics_.on_shed(evicted);
         if (depth == 0) return SubmitResult::kClosed;
-        if (evicted) {
-          // The displaced record was already counted ingested + in; it is
-          // now a shed record, keeping conservation exact.
-          metrics_.on_shed();
-        }
         break;
       }
       case OverflowPolicy::kShed:

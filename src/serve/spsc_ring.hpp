@@ -27,8 +27,8 @@
 //   * offer()      — never block; a full (or closed) ring drops the item
 //     and counts it in dropped(); load shedding.
 //   * push_evict() — never block, never reject while open: a full ring
-//     discards its OLDEST queued item (counted in evicted(),
-//     `*evicted_out` set) to admit the new one; freshness-first.
+//     discards its OLDEST queued item(s) (counted in evicted(), and
+//     reported in `*evicted_out`) to admit the new one; freshness-first.
 //
 // close() makes every subsequent push attempt fail fast; items already
 // queued remain poppable, and pop_wait() returns false once the ring is
@@ -170,29 +170,29 @@ class SpscRing {
   }
 
   /// Non-blocking push that never rejects on overflow: a full ring evicts
-  /// its oldest queued item (counted; `*evicted_out` set when it happens)
-  /// to make room. Returns the depth after insertion, or 0 iff the ring is
-  /// closed — only then was the item not enqueued.
+  /// its oldest queued item to make room. Returns the depth after
+  /// insertion, or 0 iff the ring is closed — only then was the item not
+  /// enqueued. `*evicted_out` receives the number of items this call
+  /// evicted (all counted in evicted()): usually 0 or 1, more when a
+  /// consumer holds the slot ahead of the producer while the retry runs.
   // elsa-realtime: wait-free freshness-first ingest.
-  std::size_t push_evict(T item, bool* evicted_out = nullptr) {
-    bool kicked = false;
+  std::size_t push_evict(T item, std::size_t* evicted_out = nullptr) {
+    std::size_t kicked = 0;
     std::size_t depth = 0;
     for (;;) {
-      if (closed()) {
-        if (evicted_out) *evicted_out = false;
-        return 0;
-      }
+      if (closed()) break;
       depth = try_push(item);
       if (depth != 0) break;
-      if (discard_oldest()) kicked = true;
-      // A concurrent consumer may have beaten us to the oldest slot; either
-      // way space is (about to be) available — retry the push.
+      // A concurrent consumer may have advanced head_ but not yet released
+      // its slot, so try_push can still see the ring full after a discard;
+      // every discard that succeeds is one evicted item.
+      if (discard_oldest()) ++kicked;
     }
-    if (kicked) {
+    if (kicked != 0) {
       util::sched_point();
       // relaxed: monotonic eviction counter; readers only ever sum it,
       // never order other accesses against it.
-      evicted_.fetch_add(1, std::memory_order_relaxed);
+      evicted_.fetch_add(kicked, std::memory_order_relaxed);
     }
     if (evicted_out) *evicted_out = kicked;
     return depth;

@@ -1,10 +1,31 @@
 #include "util/strings.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
 
 namespace elsa::util {
+
+namespace {
+
+/// looks_numeric's byte classes by ASCII range: 1 for a digit or one of
+/// '.', ':', '-'; 2 for a hex letter a-f or A-F; 0 ("other") for every
+/// other byte, >= 0x80 included. Identical to <cctype> in the C locale the
+/// program runs in, and a table lookup keeps the count loop branch-free.
+constexpr std::array<std::uint8_t, 256> kNumericClass = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (char c = '0'; c <= '9'; ++c) t[static_cast<unsigned char>(c)] = 1;
+  for (const char c : {'.', ':', '-'}) t[static_cast<unsigned char>(c)] = 1;
+  for (char c = 'a'; c <= 'f'; ++c) {
+    t[static_cast<unsigned char>(c)] = 2;
+    t[static_cast<unsigned char>(c - 'a' + 'A')] = 2;
+  }
+  return t;
+}();
+
+}  // namespace
 
 std::vector<std::string> split(std::string_view s, std::string_view delims) {
   std::vector<std::string> out;
@@ -53,20 +74,15 @@ bool starts_with(std::string_view s, std::string_view prefix) {
 }
 
 bool looks_numeric(std::string_view token) {
+  const bool hex_prefixed = starts_with(token, "0x") || starts_with(token, "0X");
+  if (hex_prefixed) token.remove_prefix(2);
   if (token.empty()) return false;
-  std::string_view t = token;
-  const bool hex_prefixed = starts_with(t, "0x") || starts_with(t, "0X");
-  if (hex_prefixed) t = t.substr(2);
-  if (t.empty()) return false;
-  std::size_t digits = 0, hex_letters = 0, others = 0;
-  for (unsigned char c : t) {
-    if (std::isdigit(c) || c == '.' || c == ':' || c == '-')
-      ++digits;
-    else if (std::isxdigit(c))
-      ++hex_letters;
-    else
-      ++others;
+  std::size_t digits = 0, hex_letters = 0;
+  for (const unsigned char c : token) {
+    digits += kNumericClass[c] & 1u;
+    hex_letters += kNumericClass[c] >> 1;
   }
+  const std::size_t others = token.size() - digits - hex_letters;
   // 0x-prefixed payloads are numeric whenever they are valid-ish hex.
   if (hex_prefixed) return others == 0;
   // Otherwise require at least one real digit so ordinary words made of
@@ -74,21 +90,6 @@ bool looks_numeric(std::string_view token) {
   // then count toward the numeric mass (addresses like 1a2b3c).
   if (digits == 0) return false;
   return others * 3 <= digits + hex_letters;
-}
-
-bool template_matches(const std::vector<std::string>& tmpl_tokens,
-                      const std::vector<std::string>& msg_tokens) {
-  if (tmpl_tokens.size() != msg_tokens.size()) return false;
-  for (std::size_t i = 0; i < tmpl_tokens.size(); ++i) {
-    const std::string& t = tmpl_tokens[i];
-    if (t == "*") continue;
-    if (t == "d+") {
-      if (!looks_numeric(msg_tokens[i])) return false;
-      continue;
-    }
-    if (t != msg_tokens[i]) return false;
-  }
-  return true;
 }
 
 std::string human_duration(double seconds) {

@@ -1,5 +1,5 @@
-// String helpers shared by the log generator (message formatting) and the
-// HELO template miner (tokenisation, wildcard matching).
+// String helpers shared by the log generator (message formatting), the
+// HELO template miner (numeric-token test) and the report printers.
 #pragma once
 
 #include <string>
@@ -25,12 +25,6 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// True if the token is entirely digits (possibly hex with 0x prefix),
 /// a dotted decimal, or digit-dominated — HELO treats these as variables.
 bool looks_numeric(std::string_view token);
-
-/// Match a HELO-style template against a token list. Template tokens:
-///   "*"  matches any single token;  "d+" matches a numeric token;
-/// anything else must match exactly (case-sensitive).
-bool template_matches(const std::vector<std::string>& tmpl_tokens,
-                      const std::vector<std::string>& msg_tokens);
 
 /// Render a duration in seconds as a compact human string ("54s", "9m",
 /// "1.2h") for the report printers.

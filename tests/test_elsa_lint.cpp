@@ -509,7 +509,7 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
        {"/serve/spsc_ring.hpp", "/serve/router.hpp", "/serve/model_handle.hpp",
         "/serve/metrics.hpp", "/advisor/spsc.hpp", "/advisor/service.cpp",
         "/advisor/advisor.cpp", "/elsa/online.cpp", "/elsa/model_io.cpp",
-        "/mining/miner.cpp", "/mining/service.cpp"}) {
+        "/mining/miner.cpp", "/mining/service.cpp", "/helo/helo.cpp"}) {
     std::ifstream in(std::string(ELSA_SRC_DIR) + rel, std::ios::binary);
     ASSERT_TRUE(in.good()) << rel;
     std::ostringstream ss;
@@ -534,6 +534,8 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
   EXPECT_EQ(contract_of("elsa::advisor::AdvisorService::publish"), "realtime");
   EXPECT_EQ(contract_of("elsa::core::OnlineEngine::feed"),
             "realtime+deterministic");
+  EXPECT_EQ(contract_of("elsa::helo::TemplateMiner::classify_const"),
+            "realtime");
   EXPECT_EQ(contract_of("elsa::core::model_digest"), "deterministic");
   EXPECT_EQ(contract_of("elsa::advisor::CheckpointAdvisor::on_prediction"),
             "deterministic");

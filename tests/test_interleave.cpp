@@ -110,7 +110,7 @@ TEST(InterleaveServeRing, BlockingFifoAndCloseHoldEverywhere) {
 Setup serve_ring_evict_setup() {
   return [](Trial& t) {
     constexpr int kItems = 8;
-    auto ring = std::make_shared<elsa::serve::SpscRing<int>>(2);
+    auto ring = std::make_shared<elsa::serve::SpscRing<int>>(4);
     auto got = std::make_shared<std::vector<int>>();
     t.thread([ring] {
       for (int i = 0; i < kItems; ++i) ring->push_evict(i);

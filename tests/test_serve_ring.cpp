@@ -213,24 +213,24 @@ TEST(SpscRing, PushEvictDisplacesOldest) {
   for (int i = 0; i < 4; ++i) EXPECT_GT(ring.push_evict(i), 0u);
   EXPECT_EQ(ring.evicted(), 0u);
 
-  bool kicked = false;
+  std::size_t kicked = 0;
   EXPECT_GT(ring.push_evict(4, &kicked), 0u);  // displaces 0
-  EXPECT_TRUE(kicked);
+  EXPECT_EQ(kicked, 1u);
   EXPECT_GT(ring.push_evict(5, &kicked), 0u);  // displaces 1
-  EXPECT_TRUE(kicked);
+  EXPECT_EQ(kicked, 1u);
   EXPECT_EQ(ring.evicted(), 2u);
   EXPECT_EQ(ring.size(), 4u);
 
   // The freshest window survives, still FIFO.
   for (int i = 2; i < 6; ++i) EXPECT_EQ(ring.try_pop(), i);
 
-  kicked = true;
+  kicked = 7;
   EXPECT_GT(ring.push_evict(9, &kicked), 0u);  // room again: no eviction
-  EXPECT_FALSE(kicked);
+  EXPECT_EQ(kicked, 0u);
 
   ring.close();
   EXPECT_EQ(ring.push_evict(10, &kicked), 0u);  // only closed rejects
-  EXPECT_FALSE(kicked);
+  EXPECT_EQ(kicked, 0u);
   EXPECT_EQ(ring.evicted(), 2u);
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <string_view>
+
 #include "util/strings.hpp"
 
 namespace {
@@ -55,17 +59,37 @@ TEST(Strings, LooksNumericNegatives) {
   EXPECT_FALSE(looks_numeric("r00-m0"));  // hmm: r,m letters vs digits
 }
 
-TEST(Strings, TemplateMatchesSemantics) {
-  const std::vector<std::string> tmpl{"linkcard", "power", "module", "*",
-                                      "is", "not", "accessible"};
-  EXPECT_TRUE(template_matches(
-      tmpl, {"linkcard", "power", "module", "R00-M0", "is", "not",
-             "accessible"}));
-  EXPECT_FALSE(template_matches(
-      tmpl, {"linkcard", "power", "module", "R00-M0", "is", "accessible"}));
-  const std::vector<std::string> num{"job", "d+", "timed", "out."};
-  EXPECT_TRUE(template_matches(num, {"job", "4711", "timed", "out."}));
-  EXPECT_FALSE(template_matches(num, {"job", "alpha", "timed", "out."}));
+// looks_numeric classifies bytes by ASCII range. Pin it against the
+// <cctype> classification of the C locale (the program never calls
+// setlocale) for every byte value, once and twice, alone or after a
+// digit prefix or a hex prefix.
+TEST(Strings, LooksNumericAgreesWithCtypeOnEveryByte) {
+  const auto reference = [](std::string_view token) {
+    if (token.empty()) return false;
+    const bool hex = starts_with(token, "0x") || starts_with(token, "0X");
+    if (hex) token.remove_prefix(2);
+    if (token.empty()) return false;
+    std::size_t digits = 0, hex_letters = 0, others = 0;
+    for (const unsigned char c : token) {
+      if (std::isdigit(c) || c == '.' || c == ':' || c == '-')
+        ++digits;
+      else if (std::isxdigit(c))
+        ++hex_letters;
+      else
+        ++others;
+    }
+    if (hex) return others == 0;
+    return digits != 0 && others * 3 <= digits + hex_letters;
+  };
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    for (std::string token : {"", "1", "12", "0x", "0X", "0x1"}) {
+      token.push_back(c);
+      EXPECT_EQ(looks_numeric(token), reference(token)) << "byte " << b;
+      token.push_back(c);
+      EXPECT_EQ(looks_numeric(token), reference(token)) << "byte " << b;
+    }
+  }
 }
 
 TEST(Strings, HumanDuration) {
