@@ -15,6 +15,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "simlog/record.hpp"
@@ -37,18 +38,32 @@ struct ParsedLog {
 
 /// Parse a RAS text log. Unresolvable locations become node_id -1 (the
 /// message text still carries the original code). Lines that do not parse
-/// are counted, not fatal — real logs are dirty.
+/// are counted, not fatal — real logs are dirty: a non-empty line with fewer
+/// than five columns, a time column strtoll cannot read, or an unknown
+/// severity is counted in malformed_lines; an empty line is skipped without
+/// counting. Lines end at '\n' only (a '\r' stays in the last column), and
+/// tabs inside the message column become spaces.
+///
+/// Reads the stream's buffer in fixed-size blocks and splits lines in place,
+/// so the only per-line copy is the record's message. An exception from the
+/// stream buffer (a read error) propagates.
 ParsedLog read_ras_log(std::istream& is, const topo::Topology& topology);
 
 ParsedLog read_ras_log_file(const std::string& path,
                             const topo::Topology& topology);
 
 /// Parse a severity name ("FAILURE"); nullopt for unknown strings.
-std::optional<Severity> parse_severity(const std::string& s);
+std::optional<Severity> parse_severity(std::string_view s);
 
-/// Resolve a rendered location code back to a node id; nullopt when the
-/// code is not a node-level location of this machine.
-std::optional<std::int32_t> parse_location(const std::string& code,
+/// Resolve a node-level location code back to a node id; nullopt for any
+/// other text. The grammar is strict, with <d> one to nine ASCII digits (no
+/// sign, no space):
+///   Blue Gene: R<d>-M<d>-N<d>-C:J<d>, optionally followed by -U<d> (the
+///              unit on the node, which names no other node)
+///   cluster:   <node prefix><d>
+/// Every level must lie inside the machine, so an overflowing field never
+/// aliases another node.
+std::optional<std::int32_t> parse_location(std::string_view code,
                                            const topo::Topology& topology);
 
 }  // namespace elsa::simlog

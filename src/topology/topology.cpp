@@ -70,12 +70,17 @@ Location Topology::location_of(std::int32_t node_id) const {
 std::int32_t Topology::node_id(const Location& loc) const {
   if (loc.rack < 0 || loc.midplane < 0 || loc.nodecard < 0 || loc.node < 0)
     throw std::invalid_argument("Topology::node_id: not a node-level location");
+  // Per level, before multiplying: an overflowing field must neither alias
+  // another node nor overflow the sum below.
+  if (loc.rack >= racks_ || loc.midplane >= midplanes_per_rack_ ||
+      loc.nodecard >= nodecards_per_midplane_ || loc.node >= nodes_per_nodecard_)
+    throw std::out_of_range("Topology::node_id: location outside machine");
   const std::int32_t per_nc = nodes_per_nodecard_;
   const std::int32_t per_mp = per_nc * nodecards_per_midplane_;
   const std::int32_t per_rack = per_mp * midplanes_per_rack_;
   const std::int32_t id = loc.rack * per_rack + loc.midplane * per_mp +
                           loc.nodecard * per_nc + loc.node;
-  if (id < 0 || id >= total_nodes_)
+  if (id >= total_nodes_)  // a cluster's last rack may be partial
     throw std::out_of_range("Topology::node_id: location outside machine");
   return id;
 }

@@ -67,13 +67,17 @@ class Topology {
   std::int32_t nodecards_per_midplane() const { return nodecards_per_midplane_; }
   std::int32_t nodes_per_nodecard() const { return nodes_per_nodecard_; }
   NamingStyle naming() const { return naming_; }
+  /// Cluster node-code prefix ("tg-c" in "tg-c0107"); empty for Blue Gene.
+  const std::string& node_prefix() const { return node_prefix_; }
   /// True when the machine exposes node-card/midplane structure (Blue Gene).
   bool is_hierarchical() const { return naming_ == NamingStyle::BlueGene; }
 
   /// Full node-level location of a node id in [0, total_nodes()).
   Location location_of(std::int32_t node_id) const;
 
-  /// Inverse of location_of for node-level locations.
+  /// Inverse of location_of for node-level locations. Throws
+  /// std::invalid_argument for a coarser location and std::out_of_range when
+  /// any level lies at or beyond its count (or the node beyond the machine).
   std::int32_t node_id(const Location& loc) const;
 
   /// Rendered code for a node-level location, e.g. "R03-M1-N07-C:J12" or

@@ -12,9 +12,6 @@ namespace elsa::util {
 std::vector<std::string> split(std::string_view s,
                                std::string_view delims = " \t");
 
-/// Split preserving empty tokens (needed when message columns matter).
-std::vector<std::string> split_keep_empty(std::string_view s, char delim);
-
 std::string join(const std::vector<std::string>& parts,
                  std::string_view sep = " ");
 

@@ -25,13 +25,6 @@ TEST(Strings, SplitMultipleDelims) {
   ASSERT_EQ(t.size(), 3u);
 }
 
-TEST(Strings, SplitKeepEmptyPreservesColumns) {
-  const auto t = split_keep_empty("a,,b,", ',');
-  ASSERT_EQ(t.size(), 4u);
-  EXPECT_EQ(t[1], "");
-  EXPECT_EQ(t[3], "");
-}
-
 TEST(Strings, JoinRoundTrip) {
   EXPECT_EQ(join({"x", "y", "z"}, "-"), "x-y-z");
   EXPECT_EQ(join({}, "-"), "");

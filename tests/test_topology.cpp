@@ -2,6 +2,7 @@
 // scope queries, and the round-trip property over every node.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "topology/topology.hpp"
@@ -75,6 +76,46 @@ TEST(Topology, OutOfRangeThrows) {
   Location partial;
   partial.rack = 0;
   EXPECT_THROW(t.node_id(partial), std::invalid_argument);
+}
+
+Location node_at(std::int32_t rack, std::int32_t midplane,
+                 std::int32_t nodecard, std::int32_t node) {
+  Location loc;
+  loc.rack = rack;
+  loc.midplane = midplane;
+  loc.nodecard = nodecard;
+  loc.node = node;
+  return loc;
+}
+
+TEST(Topology, NodeIdRejectsEveryLevelOutOfRange) {
+  const auto t = Topology::bluegene(4, 2, 8, 16);
+  EXPECT_EQ(t.node_id(node_at(1, 0, 0, 0)), 256);
+  EXPECT_EQ(t.node_id(node_at(3, 1, 7, 15)), t.total_nodes() - 1);
+  // Each of these used to alias a node whose flat id is in range.
+  EXPECT_THROW(t.node_id(node_at(0, 2, 0, 0)), std::out_of_range);   // 256
+  EXPECT_THROW(t.node_id(node_at(0, 0, 8, 0)), std::out_of_range);   // 128
+  EXPECT_THROW(t.node_id(node_at(0, 0, 0, 16)), std::out_of_range);  // 16
+  EXPECT_THROW(t.node_id(node_at(4, 0, 0, 0)), std::out_of_range);
+  // Fields whose product with their level's size overflows int32.
+  EXPECT_THROW(t.node_id(node_at(INT32_MAX, 0, 0, 0)), std::out_of_range);
+  EXPECT_THROW(t.node_id(node_at(0, INT32_MAX, 0, 0)), std::out_of_range);
+  EXPECT_THROW(t.node_id(node_at(0, 0, INT32_MAX, 0)), std::out_of_range);
+  EXPECT_THROW(t.node_id(node_at(0, 0, 0, INT32_MAX)), std::out_of_range);
+}
+
+TEST(Topology, ClusterNodeIdStopsAtThePartialLastRack) {
+  const auto t = Topology::cluster(100, 32);  // the fourth rack holds 4 nodes
+  EXPECT_EQ(t.node_id(node_at(3, 0, 3, 0)), 99);
+  EXPECT_THROW(t.node_id(node_at(3, 0, 4, 0)), std::out_of_range);
+  EXPECT_THROW(t.node_id(node_at(0, 0, 32, 0)), std::out_of_range);
+  EXPECT_THROW(t.node_id(node_at(0, 0, 0, 1)), std::out_of_range);
+}
+
+TEST(Topology, NodePrefix) {
+  EXPECT_EQ(Topology::cluster(891, 32, "tg-c").node_prefix(), "tg-c");
+  EXPECT_EQ(Topology::cluster(64, 8, "node").node_prefix(), "node");
+  EXPECT_EQ(Topology::bluegene(4, 2, 8, 16).node_prefix(), "");
 }
 
 TEST(Topology, CommonScopeHierarchy) {

@@ -34,7 +34,9 @@
 //   elsa advise --system bluegene|mercury --days N --model MODEL
 //              [--seed S] [--shards N] [--plan SPEC|all|none]
 //              [--chaos-seed S] [--policy block|drop-oldest|shed]
-//              [--speedup X] [--check 1]
+//              [--speedup X] [--check 1] [--precision P] [--recall R]
+//              [--interval-recall R] [--confidence C] [--hysteresis H]
+//              [--gap-alpha A] [--episodes-per-failure E]
 //       Close the prediction->action loop: regenerate the campaign from
 //       (system, days, seed) — the ground-truth failure record must be
 //       known, so the trace is rebuilt rather than read from a log —
@@ -64,14 +66,19 @@
 //       exits 1 on any divergence: the CI gate.
 //
 // The --system flag supplies the machine topology (real deployments would
-// read it from the site's configuration database).
+// read it from the site's configuration database). Each subcommand accepts
+// exactly the flags listed for it, once each and each with a value; anything
+// else prints usage and exits 2.
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <iostream>
+#include <iterator>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <atomic>
 #include <chrono>
@@ -114,20 +121,36 @@ int usage() {
          "[--policy block|drop-oldest|shed] [--speedup X]\n"
          "  elsa advise   --system bluegene|mercury --days N --model MODEL "
          "[--seed S] [--shards N] [--plan SPEC|all|none] [--chaos-seed S] "
-         "[--policy block|drop-oldest|shed] [--speedup X] [--check 1]\n"
+         "[--policy block|drop-oldest|shed] [--speedup X] [--check 1] "
+         "[--precision P] [--recall R] [--interval-recall R] "
+         "[--confidence C] [--hysteresis H] [--gap-alpha A] "
+         "[--episodes-per-failure E]\n"
          "  elsa mine     --system bluegene|mercury --days N [--seed S] "
          "[--shards LIST] [--publish-every K] [--plan SPEC|none] "
          "[--chaos-seed S] [--out MODEL] [--check 1]\n";
   return 2;
 }
 
-std::map<std::string, std::string> parse_flags(int argc, char** argv,
-                                               int first) {
+/// A command line usage() answers: exit 2, not 1.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Collects `--name value` pairs. Every name must be one of `known`, given
+/// once and followed by a value.
+std::map<std::string, std::string> parse_flags(
+    int argc, char** argv, int first,
+    const std::vector<std::string_view>& known) {
   std::map<std::string, std::string> flags;
-  for (int i = first; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) throw std::runtime_error(
-        std::string("expected a --flag, got '") + argv[i] + "'");
-    flags[argv[i] + 2] = argv[i + 1];
+  for (int i = first; i < argc; i += 2) {
+    const std::string arg = argv[i];
+    if (!arg.starts_with("--"))
+      throw UsageError("expected a --flag, got '" + arg + "'");
+    if (std::find(known.begin(), known.end(), arg.substr(2)) == known.end())
+      throw UsageError("unknown flag '" + arg + "'");
+    if (i + 1 == argc) throw UsageError("missing value for '" + arg + "'");
+    if (!flags.emplace(arg.substr(2), argv[i + 1]).second)
+      throw UsageError("repeated flag '" + arg + "'");
   }
   return flags;
 }
@@ -832,16 +855,38 @@ int cmd_advise(const std::map<std::string, std::string>& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  struct Command {
+    std::string_view name;
+    int (*run)(const std::map<std::string, std::string>&);
+    std::vector<std::string_view> flags;  ///< every flag `run` reads
+  };
+  const Command commands[] = {
+      {"generate", cmd_generate, {"system", "days", "seed", "out"}},
+      {"train", cmd_train, {"system", "log", "method", "train-days", "out"}},
+      {"inspect", cmd_inspect, {"model"}},
+      {"predict", cmd_predict, {"system", "log", "model", "max-alarms"}},
+      {"serve", cmd_serve,
+       {"system", "log", "model", "shards", "speedup", "shed", "max-alarms"}},
+      {"chaos", cmd_chaos,
+       {"system", "log", "model", "plan", "seed", "shards", "policy",
+        "speedup"}},
+      {"advise", cmd_advise,
+       {"system", "days", "model", "seed", "shards", "plan", "chaos-seed",
+        "policy", "speedup", "check", "precision", "recall",
+        "interval-recall", "confidence", "hysteresis", "gap-alpha",
+        "episodes-per-failure"}},
+      {"mine", cmd_mine,
+       {"system", "days", "seed", "shards", "publish-every", "plan",
+        "chaos-seed", "out", "check"}},
+  };
+  const auto it = std::find_if(std::begin(commands), std::end(commands),
+                               [&](const Command& c) { return c.name == cmd; });
+  if (it == std::end(commands)) return usage();
   try {
-    const auto flags = parse_flags(argc, argv, 2);
-    if (cmd == "generate") return cmd_generate(flags);
-    if (cmd == "train") return cmd_train(flags);
-    if (cmd == "inspect") return cmd_inspect(flags);
-    if (cmd == "predict") return cmd_predict(flags);
-    if (cmd == "serve") return cmd_serve(flags);
-    if (cmd == "chaos") return cmd_chaos(flags);
-    if (cmd == "advise") return cmd_advise(flags);
-    if (cmd == "mine") return cmd_mine(flags);
+    return it->run(parse_flags(argc, argv, 2, it->flags));
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return usage();
   } catch (const std::out_of_range&) {
     std::cerr << "missing required flag for '" << cmd << "'\n";
     return usage();
@@ -849,5 +894,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }
-  return usage();
 }
