@@ -1,7 +1,6 @@
 #include "advisor/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace elsa::advisor {
 
@@ -9,62 +8,35 @@ AdvisorService::AdvisorService(const topo::Topology& topo,
                                const core::OfflineModel& model,
                                AdvisorServiceConfig cfg)
     : advisor_(cfg.advisor, std::max(1, topo.nodes_per_nodecard() *
-                                            topo.nodecards_per_midplane())) {
-  const std::size_t shards = cfg.serve.shards == 0 ? 1 : cfg.serve.shards;
-  rings_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    rings_.push_back(
-        std::make_unique<SpscRing<core::Prediction>>(cfg.ring_capacity));
+                                            topo.nodecards_per_midplane())),
+      fan_in_(std::max<std::size_t>(1, cfg.serve.shards), kRingCapacity,
+              serve::FanIn<core::Prediction>::Mode::kLossy) {
   cfg.serve.tap = this;
   service_ =
       std::make_unique<serve::PredictionService>(topo, model, cfg.serve);
   // Bind the metrics before any prediction can flow: producers cannot
-  // submit until this constructor returns, and the pump starts below.
+  // submit until this constructor returns, and the consumer starts below.
   metrics_ = &service_->raw_metrics();
   advisor_.set_metrics(metrics_);
-  pump_ = std::thread([this] { pump_loop(); });
+  fan_in_.start([this](std::size_t, core::Prediction&& p) {
+    advisor_.on_prediction(p);
+  });
 }
 
 AdvisorService::~AdvisorService() {
-  // relaxed store would do for the flag alone; release pairs with the
-  // pump's acquire so its final sweep sees everything published so far.
-  stop_.store(true, std::memory_order_release);
-  if (pump_.joinable()) pump_.join();
-  // service_ tears down after this body; any prediction its draining
-  // workers still publish lands in rings_ (destroyed after service_) and
-  // is simply never pumped — the advisor was abandoned, not finished.
+  // Retire the consumer while the advisor and the metrics it reports to
+  // are alive. service_ tears down after this body; any prediction its
+  // draining workers still publish lands in fan_in_ (destroyed after
+  // service_) and is simply never consumed — the advisor was abandoned,
+  // not finished.
+  fan_in_.stop();
 }
 
 // elsa-realtime: runs on the shard worker inside the prediction hot loop —
-// one SPSC try_push plus drop accounting, never a lock or an allocation.
+// one ring offer plus drop accounting, never a lock. The offer copies the
+// prediction's node list: one allocation per prediction, not per record.
 void AdvisorService::publish(std::size_t shard, const core::Prediction& p) {
-  if (shard < rings_.size() && rings_[shard]->try_push(p)) return;
-  // relaxed: standalone monotonic counter; the pump never orders other
-  // memory against it.
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_) metrics_->on_advisor_drop();
-}
-
-void AdvisorService::pump_loop() {
-  core::Prediction p;
-  for (;;) {
-    bool any = false;
-    for (auto& r : rings_)
-      while (r->try_pop(p)) {
-        advisor_.on_prediction(p);
-        any = true;
-      }
-    if (any) continue;
-    // acquire: pairs with the release store in finish()/the destructor —
-    // once observed, every publish that happened before the stop is
-    // visible, so one final sweep below cannot miss a prediction.
-    if (stop_.load(std::memory_order_acquire)) {
-      for (auto& r : rings_)
-        while (r->try_pop(p)) advisor_.on_prediction(p);
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  if (!fan_in_.publish(shard, p) && metrics_) metrics_->on_advisor_drop();
 }
 
 void AdvisorService::finish(std::int64_t t_end_ms) {
@@ -73,10 +45,8 @@ void AdvisorService::finish(std::int64_t t_end_ms) {
   // After service finish() returns, every prediction has been published
   // (drain_shard ran to completion on every shard) …
   service_->finish(t_end_ms);
-  // … so stop-then-join guarantees the pump's final sweep consumes them
-  // all: release pairs with the acquire load in pump_loop.
-  stop_.store(true, std::memory_order_release);
-  if (pump_.joinable()) pump_.join();
+  // … so stopping the fan-in guarantees its final sweep consumes them all.
+  fan_in_.stop();
 }
 
 }  // namespace elsa::advisor

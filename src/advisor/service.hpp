@@ -1,27 +1,24 @@
 // AdvisorService: a PredictionService with the checkpoint advisor closed
-// over it. It registers itself as the serve path's PredictionTap, hands
-// each shard's predictions through a private wait-free SPSC ring (one per
-// shard — the tap contract guarantees one producer per shard index), and
-// a single pump thread feeds them to the CheckpointAdvisor. The predict
-// hot path therefore never blocks on advisor work: a full ring drops the
+// over it. It registers itself as the serve path's prediction tap and hands
+// each shard's predictions through a lossy serve::FanIn (one SpscRing per
+// shard — the tap contract guarantees one producer per shard index), whose
+// consumer thread feeds them to the CheckpointAdvisor. The predict hot
+// path therefore never blocks on advisor work: a full ring drops the
 // event and counts it (advisor_dropped in the metrics scrape; the
-// deterministic-replay tests assert zero drops at the default capacity).
+// deterministic-replay tests assert zero drops at the ring capacity).
 //
 //   producers -> PredictionService -> shard workers
 //                                        | publish(shard, p)   wait-free
 //                                   SpscRing[shard]
-//                                        | try_pop             pump thread
+//                                        | try_pop             fan-in thread
 //                                  CheckpointAdvisor -> CheckpointSchedule
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
-#include <vector>
 
 #include "advisor/advisor.hpp"
-#include "advisor/spsc.hpp"
+#include "serve/fan_in.hpp"
 #include "serve/service.hpp"
 
 namespace elsa::advisor {
@@ -31,13 +28,9 @@ struct AdvisorServiceConfig {
   /// advisor's own hook.
   serve::ServiceConfig serve;
   AdvisorConfig advisor;
-  /// Per-shard SPSC capacity, in predictions. Generous by default: a drop
-  /// costs schedule fidelity (and determinism), so the rings are sized for
-  /// the full between-sweeps burst of a shard.
-  std::size_t ring_capacity = 4096;
 };
 
-class AdvisorService final : public serve::PredictionTap {
+class AdvisorService final : public serve::Tap<core::Prediction> {
  public:
   AdvisorService(const topo::Topology& topo, const core::OfflineModel& model,
                  AdvisorServiceConfig cfg = {});
@@ -53,36 +46,30 @@ class AdvisorService final : public serve::PredictionTap {
   CheckpointAdvisor& advisor() { return advisor_; }
   const CheckpointAdvisor& advisor() const { return advisor_; }
 
-  /// PredictionTap: wait-free per-shard hand-off (shard workers call this).
+  /// Prediction tap: wait-free per-shard hand-off (shard workers call this).
   void publish(std::size_t shard, const core::Prediction& p) override;
 
   /// Finish the service (drain + merge), then drain the advisor: after
   /// this returns every published prediction has reached the advisor and
-  /// the pump thread has exited. Idempotent.
+  /// the fan-in thread has exited. Idempotent.
   void finish(std::int64_t t_end_ms);
 
   /// Predictions lost to a full ring (0 in a healthy run).
-  std::uint64_t dropped() const {
-    // relaxed: standalone monotonic counter read for monitoring.
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dropped() const { return fan_in_.dropped(); }
 
   /// Advisor snapshot (canonical order; see CheckpointSchedule).
   CheckpointSchedule schedule() const { return advisor_.schedule(); }
 
  private:
-  void pump_loop();
+  /// Per-shard ring capacity, in predictions. Generous: a drop costs
+  /// schedule fidelity (and determinism), so the rings are sized for the
+  /// full between-sweeps burst of a shard.
+  static constexpr std::size_t kRingCapacity = 4096;
 
   CheckpointAdvisor advisor_;
-  std::vector<std::unique_ptr<SpscRing<core::Prediction>>> rings_;
-  // elsa-atomic: monotonic-relaxed — tap overflow counter, summed only.
-  std::atomic<std::uint64_t> dropped_{0};
+  serve::FanIn<core::Prediction> fan_in_;
   serve::ServeMetrics* metrics_ = nullptr;  ///< service_'s, cached for publish
   std::unique_ptr<serve::PredictionService> service_;
-  // elsa-atomic: release-acquire-flag — finish()'s release store is the
-  // pump thread's acquire-loaded exit signal.
-  std::atomic<bool> stop_{false};
-  std::thread pump_;
   bool finished_ = false;  ///< controlling thread only
 };
 

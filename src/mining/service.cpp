@@ -1,7 +1,6 @@
 #include "mining/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 
 #include "elsa/model_io.hpp"
@@ -12,16 +11,15 @@ MinerService::MinerService(const topo::Topology& topo, MinerServiceConfig cfg)
     : live_(cfg.classifier),
       hub_(std::make_unique<const core::ModelState>(
           core::ModelState::build({}, {}))),
+      // Mirror the sharded engine's reader-slot clamp so ring index ==
+      // shard index == hub reader slot.
+      fan_in_(std::min(std::max<std::size_t>(1, cfg.serve.shards),
+                       serve::ModelHub::kMaxReaders),
+              kRingCapacity,
+              serve::FanIn<serve::ClassifiedEvent>::Mode::kLossless),
       publish_every_(cfg.publish_every) {
-  // Mirror the sharded engine's reader-slot clamp so ring index == shard
-  // index == hub reader slot.
-  const std::size_t shards = std::min(
-      std::max<std::size_t>(1, cfg.serve.shards), serve::ModelHub::kMaxReaders);
+  const std::size_t shards = fan_in_.shards();
   cfg.serve.shards = shards;
-  rings_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    rings_.push_back(std::make_unique<serve::SpscRing<serve::ClassifiedEvent>>(
-        cfg.ring_capacity));
   miner_ = OnlineMiner(cfg.miner);
 
   cfg.serve.live_classifier = &live_;
@@ -41,27 +39,34 @@ MinerService::MinerService(const topo::Topology& topo, MinerServiceConfig cfg)
   shard_clock_.assign(shards, std::numeric_limits<std::int64_t>::min());
   pending_.resize(shards);
 
-  pump_ = std::thread([this] { pump_loop(); });
+  fan_in_.start(
+      [this](std::size_t s, serve::ClassifiedEvent&& ev) {
+        // Per-shard streams are time-monotone (one producer, trace order),
+        // so the newest arrival IS the shard clock.
+        shard_clock_[s] = ev.time_ms;
+        pending_[s].push_back(ev);
+      },
+      [this](bool final) {
+        fold_below(final ? std::numeric_limits<std::int64_t>::max()
+                         : watermark());
+      });
 }
 
 MinerService::~MinerService() {
-  if (!finished_) {
-    // Abandoned teardown: unblock any worker parked in a ring push first
-    // (its publish becomes a no-op), then retire the pump. service_ (the
-    // last-declared member) destroys before the rings it may still touch.
-    for (auto& r : rings_) r->close();
-    stop_.store(true, std::memory_order_release);
-  }
-  if (pump_.joinable()) pump_.join();
+  // Abandoned teardown: unblock any worker parked in a ring push first
+  // (its publish becomes a no-op), then retire the pump while the fold
+  // state is alive. service_ (the last-declared member) destroys before
+  // the fan-in it may still touch. After finish() both are no-ops.
+  fan_in_.close();
+  fan_in_.stop();
 }
 
 // elsa-realtime: runs on the shard worker inside the classify hot loop —
-// one SPSC push (whose bounded spin is allowed at its site), nothing else.
+// one lossless fan-in push (whose bounded spin is allowed at its site).
 void MinerService::publish(std::size_t shard, const serve::ClassifiedEvent& e) {
-  // Blocking push: the mined stream is lossless. Returns 0 only when the
-  // ring was closed by an abandoning destructor — then losing the event is
-  // the point.
-  if (shard < rings_.size()) rings_[shard]->push(e);
+  // False only once an abandoning destructor closed the ring — then
+  // losing the event is the point.
+  fan_in_.publish(shard, e);
 }
 
 std::int64_t MinerService::watermark() const {
@@ -69,18 +74,6 @@ std::int64_t MinerService::watermark() const {
   for (std::size_t s = 0; s < shard_clock_.size(); ++s)
     if (reachable_[s]) w = std::min(w, shard_clock_[s]);
   return w;
-}
-
-void MinerService::drain_rings(bool& any) {
-  for (std::size_t s = 0; s < rings_.size(); ++s) {
-    while (auto ev = rings_[s]->try_pop()) {
-      // Per-shard streams are time-monotone (one producer, trace order),
-      // so the newest arrival IS the shard clock.
-      shard_clock_[s] = ev->time_ms;
-      pending_[s].push_back(*ev);
-      any = true;
-    }
-  }
 }
 
 // elsa-deterministic: the watermark fold is the online leg of the
@@ -129,26 +122,6 @@ void MinerService::publish_model() {
   if (metrics_) metrics_->on_model_publish();
 }
 
-void MinerService::pump_loop() {
-  for (;;) {
-    bool any = false;
-    drain_rings(any);
-    if (any) {
-      fold_below(watermark());
-      continue;
-    }
-    // acquire: pairs with the release store in finish()/the destructor —
-    // once observed, every event published before the stop is visible, so
-    // the final sweep below cannot miss one.
-    if (stop_.load(std::memory_order_acquire)) {
-      drain_rings(any);
-      fold_below(std::numeric_limits<std::int64_t>::max());
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-}
-
 void MinerService::finish(std::int64_t t_end_ms) {
   if (finished_) return;
   finished_ = true;
@@ -156,9 +129,9 @@ void MinerService::finish(std::int64_t t_end_ms) {
   // drain loops run to completion, and ring pushes block rather than
   // drop) …
   service_->finish(t_end_ms);
-  // … so stop-then-join guarantees the pump's final sweep folds them all.
-  stop_.store(true, std::memory_order_release);
-  if (pump_.joinable()) pump_.join();
+  // … so stopping the fan-in guarantees the pump's final sweep folds them
+  // all.
+  fan_in_.stop();
   // Pump gone: the fold state is quiescent and the producer is done with
   // the live classifier — embed it in the final model.
   final_model_ = miner_.build_model(&live_);

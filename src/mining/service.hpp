@@ -1,12 +1,13 @@
 // MinerService: a PredictionService with the incremental miner closed over
 // it — the deployment that retires the offline retrain. It owns the live
 // HELO classifier (producer-thread incremental template learning), taps the
-// classified-event stream off every shard worker through per-shard lossless
-// SPSC rings (blocking push: the miner must see EVERY event or the
-// online≡batch equivalence is void), folds the merged stream on one pump
-// thread, and publishes refreshed rule models into the serving engines
-// through the RCU-style ModelHub — shard workers hot-swap at batch
-// boundaries without ever blocking the predict path.
+// classified-event stream off every shard worker through a lossless
+// serve::FanIn (blocking push: the miner must see EVERY event or the
+// online≡batch equivalence is void), folds the merged stream on the
+// fan-in's one consumer thread (the pump), and publishes refreshed rule
+// models into the serving engines through the RCU-style ModelHub — shard
+// workers hot-swap at batch boundaries without ever blocking the predict
+// path.
 //
 //   producer -> PredictionService -> shard workers --feed--> predictions
 //                  | live HELO          | publish(shard, ev)   blocking SPSC
@@ -25,15 +26,13 @@
 // whatever the shard count: `elsa mine --check` proves it by digest.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "mining/miner.hpp"
+#include "serve/fan_in.hpp"
 #include "serve/service.hpp"
-#include "serve/spsc_ring.hpp"
 
 namespace elsa::mining {
 
@@ -43,10 +42,6 @@ struct MinerServiceConfig {
   serve::ServiceConfig serve;
   MinerConfig miner;
   helo::MinerConfig classifier;
-  /// Per-shard event ring capacity. Pushes BLOCK when full (bounded
-  /// backpressure onto the shard worker): the mined stream is lossless by
-  /// contract.
-  std::size_t ring_capacity = 8192;
   /// Publish a refreshed model into the hub every this many folded events;
   /// 0 = mine silently and only materialise the final model at finish().
   /// A fold-count boundary (never wall clock) keeps the publish stream —
@@ -93,8 +88,11 @@ class MinerService final : public serve::EventTap {
   serve::ModelHub& hub() { return hub_; }
 
  private:
-  void pump_loop();
-  void drain_rings(bool& any);
+  /// Per-shard event ring capacity. Pushes BLOCK when full (bounded
+  /// backpressure onto the shard worker): the mined stream is lossless by
+  /// contract.
+  static constexpr std::size_t kRingCapacity = 8192;
+
   /// Fold every pending event strictly below `watermark_ms`, in canonical
   /// order, publishing at fold-count boundaries. Pump thread only.
   void fold_below(std::int64_t watermark_ms);
@@ -102,11 +100,11 @@ class MinerService final : public serve::EventTap {
   std::int64_t watermark() const;
 
   // Declaration order is teardown order in reverse: service_ (declared
-  // last) destroys FIRST, while the rings/hub/classifier its workers may
+  // last) destroys FIRST, while the fan-in/hub/classifier its workers may
   // still touch during teardown are alive until after it is gone.
   helo::TemplateMiner live_;
   serve::ModelHub hub_;
-  std::vector<std::unique_ptr<serve::SpscRing<serve::ClassifiedEvent>>> rings_;
+  serve::FanIn<serve::ClassifiedEvent> fan_in_;
   OnlineMiner miner_;                    ///< pump thread, then controlling
   std::vector<bool> reachable_;          ///< shards some partition routes to
   std::vector<std::int64_t> shard_clock_;               ///< pump thread only
@@ -118,10 +116,6 @@ class MinerService final : public serve::EventTap {
   core::OfflineModel empty_model_;       ///< service ctor model (no rules)
   serve::ServeMetrics* metrics_ = nullptr;  ///< service_'s, cached
   std::unique_ptr<serve::PredictionService> service_;
-  // elsa-atomic: release-acquire-flag — finish()'s release store is the
-  // pump thread's acquire-loaded exit signal.
-  std::atomic<bool> stop_{false};
-  std::thread pump_;
   bool finished_ = false;  ///< controlling thread only
   core::OfflineModel final_model_;       ///< controlling thread, post-join
   std::uint64_t final_digest_ = 0;

@@ -42,16 +42,11 @@ std::size_t TraceReplayer::replay_into(
   std::size_t accepted = 0;
   bool closed = false;
 
-  // Deliver one record, honouring the shed/backpressure choice and the
-  // bounded retry loop. Returns false only when the service has closed.
+  // Deliver one record under the service's OverflowPolicy, with the
+  // bounded retry loop for kShed refusals (the only policy that refuses).
+  // Returns false only when the service has closed.
   const auto deliver = [&](const simlog::LogRecord& rec) {
-    if (!opt_.shed) {
-      const SubmitResult r = service.submit_result(rec, /*blocking=*/true);
-      if (r == SubmitResult::kClosed) return false;
-      if (r == SubmitResult::kQueued) ++accepted;
-      return true;
-    }
-    SubmitResult r = service.submit_result(rec, /*blocking=*/false);
+    SubmitResult r = service.submit_result(rec, /*blocking=*/true);
     std::int64_t backoff_ms = opt_.retry_backoff_ms;
     for (int attempt = 0; r == SubmitResult::kShed && attempt < opt_.max_retries;
          ++attempt) {
@@ -59,7 +54,7 @@ std::size_t TraceReplayer::replay_into(
       if (backoff_ms > 0)
         std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
       backoff_ms *= 2;
-      r = service.submit_result(rec, /*blocking=*/false);
+      r = service.submit_result(rec, /*blocking=*/true);
     }
     if (r == SubmitResult::kClosed) return false;
     if (r == SubmitResult::kQueued) ++accepted;

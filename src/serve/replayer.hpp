@@ -29,9 +29,6 @@ struct ReplayOptions {
   /// Only records with time_ms in [from_ms, until_ms) are delivered.
   std::int64_t from_ms = std::numeric_limits<std::int64_t>::min();
   std::int64_t until_ms = std::numeric_limits<std::int64_t>::max();
-  /// Use the shedding submit path (try_submit) instead of blocking
-  /// backpressure when driving a PredictionService.
-  bool shed = false;
   /// On a shed result, re-submit up to this many times with doubling
   /// backoff (starting at retry_backoff_ms) before giving the record up.
   /// Each re-submission is counted in ServeMetrics::retries. 0 = give up
@@ -52,8 +49,9 @@ class TraceReplayer {
   std::size_t replay(
       const std::function<bool(const simlog::LogRecord&)>& sink) const;
 
-  /// Convenience: stream into a PredictionService (submit or try_submit
-  /// per `opt.shed`; sheds retried per `opt.max_retries`). When `inject`
+  /// Convenience: stream into a PredictionService through submit(), whose
+  /// OverflowPolicy decides what a full ring does (a kShed refusal is
+  /// retried per `opt.max_retries`). When `inject`
   /// is non-null every replayed record first passes through the fault
   /// injector, which may drop, duplicate, corrupt, reorder or skew it —
   /// the chaos-soak ingress path. Returns records accepted by the service.

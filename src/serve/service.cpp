@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace elsa::serve {
 
@@ -13,8 +14,7 @@ PredictionService::PredictionService(const topo::Topology& topo,
           std::max(model.helo.size(), model.profiles.size()))),
       total_nodes_(topo.total_nodes()),
       overflow_(cfg.overflow),
-      validate_(cfg.validate),
-      alarms_(cfg.alarm_capacity) {
+      validate_(cfg.validate) {
   ShardOptions so;
   so.shards = std::max<std::size_t>(1, cfg.shards);
   so.batch = std::max<std::size_t>(1, cfg.batch);
@@ -23,22 +23,18 @@ PredictionService::PredictionService(const topo::Topology& topo,
   // would make backpressure oscillate instead of smoothing bursts.
   so.queue_capacity = std::max({cfg.ingest_capacity / so.shards,
                                 2 * so.batch, std::size_t{2}});
-  so.drop_on_overflow = cfg.drop_on_overflow;
   so.watchdog_interval_ms = cfg.watchdog_interval_ms;
   so.watchdog_deadline_ms = cfg.watchdog_deadline_ms;
   so.pin_workers = cfg.pin_workers;
   so.faults = cfg.faults;
   so.clock = cfg.clock;
-  so.tap = cfg.tap;
+  so.taps.push_back(&alarms_);
+  if (cfg.tap) so.taps.push_back(cfg.tap);
   so.hub = cfg.hub;
   so.event_tap = cfg.event_tap;
   sharded_ = std::make_unique<ShardedEngine>(
-      topo, model.chains, model.profiles, cfg.engine, so, &metrics_,
-      [this](const core::Prediction& p) {
-        // Streaming view only; overflow is tolerated (merged list is the
-        // canonical record).
-        alarms_.offer(p);
-      });
+      topo, model.chains, model.profiles, cfg.engine, std::move(so),
+      &metrics_);
 }
 
 PredictionService::~PredictionService() = default;
@@ -146,7 +142,7 @@ void PredictionService::finish(std::int64_t t_end_ms) {
 
 std::size_t PredictionService::poll_alarms(std::vector<core::Prediction>& out) {
   std::size_t n = 0;
-  while (auto p = alarms_.try_pop()) {
+  while (auto p = alarms_.ring.try_pop()) {
     out.push_back(std::move(*p));
     ++n;
   }

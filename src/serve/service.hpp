@@ -7,8 +7,9 @@
 // are issued; the deterministic merged list is available after finish().
 //
 //   producers -> [classify] -> [route] -> per-shard SpscRing -> shard worker
-//                                              |                   |  alarms
-//                                         ServeMetrics <-----------+--> Ring
+//                                              |                   |
+//                                         ServeMetrics <-----------+
+//                                                 alarm tap -> shared SpscRing
 //
 // Everything up to the ring insertion happens on the *producer's* thread:
 // the model is frozen while serving (classify_const never mutates), the
@@ -29,8 +30,9 @@
 #include "elsa/online.hpp"
 #include "elsa/pipeline.hpp"
 #include "serve/metrics.hpp"
-#include "serve/ring.hpp"
 #include "serve/sharded_engine.hpp"
+#include "serve/spsc_ring.hpp"
+#include "serve/tap.hpp"
 
 namespace elsa::serve {
 
@@ -61,11 +63,7 @@ struct ServiceConfig {
   std::size_t ingest_capacity = 8192;
   /// Most records a shard worker drains from its ring in one batched pop.
   std::size_t batch = 64;
-  /// Shed records instead of applying backpressure when a shard ring fills
-  /// (the policy for engine-side feeds; submit() consults `overflow`,
-  /// try_submit always sheds).
-  bool drop_on_overflow = false;
-  /// Backpressure policy for blocking submit() on a full shard ring.
+  /// What submit() does on a full shard ring (try_submit always sheds).
   OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Reject malformed records (node id outside the topology, negative
   /// timestamp) into quarantine instead of feeding them to the engines.
@@ -83,14 +81,11 @@ struct ServiceConfig {
   const faultinject::FaultPlan* faults = nullptr;
   /// Watchdog time source override (tests / chaos); null = real time.
   const faultinject::FaultClock* clock = nullptr;
-  /// Wait-free per-shard prediction observer (serve/tap.hpp) handed down
-  /// to the sharded engine; null = none. The checkpoint advisor
-  /// (src/advisor) registers through this. Must outlive the service.
-  PredictionTap* tap = nullptr;
-  /// Streaming alarm ring capacity; overflowing alarms are dropped from
-  /// the *streaming view only* (the merged list after finish() is always
-  /// complete).
-  std::size_t alarm_capacity = 4096;
+  /// Wait-free per-shard prediction observer (serve/tap.hpp), handed to
+  /// the sharded engine after the service's own alarm feed; null = none.
+  /// The checkpoint advisor (src/advisor) registers through this. Must
+  /// outlive the service.
+  Tap<core::Prediction>* tap = nullptr;
   /// Incremental HELO classifier (see helo.hpp). Null = the offline
   /// model's frozen classifier (classify_const). When set, submits
   /// classify through its *mutating* path, so unseen message shapes learn
@@ -157,6 +152,8 @@ class PredictionService {
 
   /// Drain alarms issued since the last poll into `out` (appended);
   /// returns how many. Callable anytime from any one consumer thread.
+  /// Streaming view only: alarms that find the ring full are dropped from
+  /// it (the merged list after finish() is always complete).
   std::size_t poll_alarms(std::vector<core::Prediction>& out);
 
   /// Canonical deterministically-merged predictions (after finish()).
@@ -201,11 +198,22 @@ class PredictionService {
   /// system-scope sentinel -1), non-negative timestamp.
   bool valid(const simlog::LogRecord& rec) const;
 
+  /// The streaming alarm view: one more prediction tap, offering into one
+  /// ring that every shard shares (the ring's slot protocol takes several
+  /// producers). Lossy: a full ring drops the alarm and counts it.
+  struct AlarmFeed final : Tap<core::Prediction> {
+    static constexpr std::size_t kCapacity = 4096;
+    SpscRing<core::Prediction> ring{kCapacity};
+    void publish(std::size_t, const core::Prediction& p) override {
+      ring.offer(p);
+    }
+  };
+
   // Thread roles: `classifier_` and `unknown_tmpl_` are immutable while
-  // serving (frozen model); `metrics_` and `alarms_` are internally
-  // synchronized; the ShardedEngine's rings are lock-free and fed directly
-  // by submitting threads. `finished_` is control-plane state: finish()
-  // must be called from one controlling thread (it joins the shard
+  // serving (frozen model); `metrics_` is internally synchronized and
+  // `alarms_` lock-free; the ShardedEngine's rings are lock-free and fed
+  // directly by submitting threads. `finished_` is control-plane state:
+  // finish() must be called from one controlling thread (it joins the shard
   // workers), matching the destructor's contract.
   const helo::TemplateMiner* classifier_;
   /// Mutating incremental classifier; non-null only under the
@@ -216,7 +224,7 @@ class PredictionService {
   OverflowPolicy overflow_ = OverflowPolicy::kBlock;
   bool validate_ = true;
   ServeMetrics metrics_;
-  Ring<core::Prediction> alarms_;
+  AlarmFeed alarms_;  ///< before sharded_: workers publish until it is gone
   std::unique_ptr<ShardedEngine> sharded_;
   bool finished_ = false;  ///< controlling thread only
 

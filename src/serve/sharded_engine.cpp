@@ -11,11 +11,6 @@
 
 namespace elsa::serve {
 
-namespace {
-
-/// Total order on predictions for the deterministic merge. Every field that
-/// can differ participates, so the merged order is independent of shard
-/// count and thread scheduling.
 bool prediction_less(const core::Prediction& a, const core::Prediction& b) {
   const auto key = [](const core::Prediction& p) {
     return std::tie(p.issue_time_ms, p.chain_id, p.tmpl, p.trigger_time_ms,
@@ -25,6 +20,8 @@ bool prediction_less(const core::Prediction& a, const core::Prediction& b) {
   return std::lexicographical_compare(a.nodes.begin(), a.nodes.end(),
                                       b.nodes.begin(), b.nodes.end());
 }
+
+namespace {
 
 /// Best-effort worker pinning: bind the calling thread to one core of its
 /// currently-allowed set, round-robin by shard index. Silently a no-op off
@@ -61,11 +58,8 @@ ShardedEngine::ShardedEngine(const topo::Topology& topo,
                              std::vector<core::Chain> chains,
                              std::vector<core::SignalProfile> profiles,
                              core::EngineConfig engine_cfg, ShardOptions opt,
-                             ServeMetrics* metrics, PredictionSink on_prediction)
-    : topo_(topo),
-      opt_(opt),
-      metrics_(metrics),
-      sink_(std::move(on_prediction)) {
+                             ServeMetrics* metrics)
+    : topo_(topo), opt_(std::move(opt)), metrics_(metrics) {
   if (opt_.shards == 0) opt_.shards = 1;
   if (opt_.batch == 0) opt_.batch = 1;
   // Reader slots in the RCU hub are a fixed-width word; more shards than
@@ -81,10 +75,7 @@ ShardedEngine::ShardedEngine(const topo::Topology& topo,
         opt_.queue_capacity,
         core::OnlineEngine(topo, chains, profiles, engine_cfg)));
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard* sp = shards_[i].get();
-    sp->worker = std::thread([this, sp, i] { worker_loop(*sp, i); });
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) spawn_worker(*shards_[i], i);
   clock_ = opt_.clock ? opt_.clock : &own_clock_;
   if (opt_.watchdog_interval_ms > 0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
@@ -99,28 +90,14 @@ ShardedEngine::~ShardedEngine() {
 
 void ShardedEngine::feed(const simlog::LogRecord& rec, std::uint32_t tmpl,
                          ServeMetrics::Clock::time_point enq) {
-  Shard& s = *shards_[router_.shard_of(rec.node_id)];
-  Item item{rec.time_ms, rec.node_id, tmpl,
-            static_cast<std::uint8_t>(rec.severity), enq};
-  if (opt_.drop_on_overflow) {
-    if (s.queue.offer(std::move(item)) == 0) {
-      // relaxed: monotonic shed counter, monitoring only (see header).
-      dropped_records_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_) metrics_->on_shed(1);
-    }
-  } else {
-    s.queue.push(std::move(item));
-  }
+  shards_[router_.shard_of(rec.node_id)]->queue.push(
+      Item{rec.time_ms, rec.node_id, tmpl,
+           static_cast<std::uint8_t>(rec.severity), enq});
 }
 
 void ShardedEngine::feed(const simlog::LogRecord& rec, std::uint32_t tmpl) {
   feed(rec, tmpl,
        metrics_ ? ServeMetrics::Clock::now() : ServeMetrics::Clock::time_point{});
-}
-
-void ShardedEngine::flush() {
-  // No-op: records go straight from the producing thread into the shard
-  // rings, so there is no dispatcher-side partial batch to hand over.
 }
 
 void ShardedEngine::maybe_swap_model(Shard& s, const ModelHub::Handle& h) {
@@ -168,9 +145,17 @@ bool ShardedEngine::process_batch(Shard& s, std::size_t idx, Batch& batch) {
   return true;
 }
 
+void ShardedEngine::spawn_worker(Shard& s, std::size_t idx) {
+  // Alive before the thread exists: a watchdog scan that ran before the
+  // new thread's first instruction would otherwise take the shard for
+  // dead and join a live worker that exits only on close — hanging both
+  // the watchdog and whoever stops it.
+  s.alive.store(true, std::memory_order_release);
+  s.worker = std::thread([this, &s, idx] { worker_loop(s, idx); });
+}
+
 void ShardedEngine::worker_loop(Shard& s, std::size_t idx) {
   if (opt_.pin_workers) pin_to_core(idx);
-  s.alive.store(true, std::memory_order_release);
   if (!s.carryover.empty()) {
     // Resume the batch a previous incarnation abandoned mid-flight.
     Batch b;
@@ -274,8 +259,7 @@ void ShardedEngine::watchdog_loop() {
         restarts_.fetch_add(1, std::memory_order_relaxed);
         if (metrics_) metrics_->on_watchdog_trip();
         tripped[i] = true;  // count this scan as unhealthy...
-        Shard* sp = &s;
-        sp->worker = std::thread([this, sp, i] { worker_loop(*sp, i); });
+        spawn_worker(s, i);
         since[i] = now;  // ...but give the revived worker a fresh deadline
       }
       if (tripped[i]) any_tripped = true;
@@ -301,8 +285,7 @@ void ShardedEngine::drain_shard(Shard& s, std::size_t idx,
   while (s.preds_streamed < preds.size()) {
     const core::Prediction& p = preds[s.preds_streamed++];
     if (metrics_) metrics_->on_prediction(enq);
-    if (sink_) sink_(p);
-    if (opt_.tap) opt_.tap->publish(idx, p);
+    for (Tap<core::Prediction>* tap : opt_.taps) tap->publish(idx, p);
   }
   if (metrics_) {
     const core::EngineStats& st = s.engine.stats();

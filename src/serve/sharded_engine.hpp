@@ -30,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -62,9 +61,6 @@ struct ShardOptions {
   /// how much one scheduling quantum of work a worker commits to before
   /// re-checking for close/faults.
   std::size_t batch = 64;
-  /// On a full shard ring: true = shed the record (counted), false = block
-  /// the producer (backpressure, the default).
-  bool drop_on_overflow = false;
   /// Watchdog scan interval; 0 disables the watchdog thread entirely. The
   /// watchdog restarts dead shard workers, counts deadline trips, and
   /// drives the degraded flag in ServeMetrics. It only observes the data
@@ -82,10 +78,11 @@ struct ShardOptions {
   /// chaos runs inject a skewed one to prove trips survive non-monotone
   /// time. Must outlive the engine.
   const faultinject::FaultClock* clock = nullptr;
-  /// Wait-free per-shard prediction observer (see serve/tap.hpp); null =
-  /// none. The checkpoint advisor registers through this. Must outlive the
+  /// Wait-free per-shard prediction observers (see serve/tap.hpp), each
+  /// handed every prediction in list order. PredictionService registers its
+  /// alarm feed here, then the checkpoint advisor. Each must outlive the
   /// engine.
-  PredictionTap* tap = nullptr;
+  std::vector<Tap<core::Prediction>*> taps;
   /// Pin each shard worker to one CPU (round-robin over the cores the
   /// process may run on; best-effort, Linux only). Off by default: pinning
   /// helps on dedicated multi-core serving boxes and hurts on shared or
@@ -103,6 +100,11 @@ struct ShardOptions {
   EventTap* event_tap = nullptr;
 };
 
+/// The merge's total order on predictions: every field that can differ
+/// participates, so the merged order is independent of shard count and
+/// thread scheduling.
+bool prediction_less(const core::Prediction& a, const core::Prediction& b);
+
 class ShardedEngine {
  public:
   /// One classified record on the wire between a producer and a shard
@@ -116,16 +118,10 @@ class ShardedEngine {
     ServeMetrics::Clock::time_point enq{};
   };
 
-  /// Called from worker threads as alarms are issued (streaming view; the
-  /// canonical merged list is available after finish()). May be invoked
-  /// concurrently from different shards.
-  using PredictionSink = std::function<void(const core::Prediction&)>;
-
   ShardedEngine(const topo::Topology& topo, std::vector<core::Chain> chains,
                 std::vector<core::SignalProfile> profiles,
                 core::EngineConfig engine_cfg, ShardOptions opt,
-                ServeMetrics* metrics = nullptr,
-                PredictionSink on_prediction = nullptr);
+                ServeMetrics* metrics = nullptr);
   ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -147,19 +143,14 @@ class ShardedEngine {
   /// any thread.
   SpscRing<Item>& ingest(std::size_t shard) { return shards_[shard]->queue; }
 
-  /// Route one classified record and push it to its shard's ring —
-  /// blocking backpressure, or shed-and-count under drop_on_overflow.
-  /// Thread-safe: any number of producers may feed concurrently (per-shard
-  /// FIFO then follows ring-insertion order). `enq` is the instant the
-  /// record entered the service, for latency accounting.
+  /// Route one classified record and push it to its shard's ring, blocking
+  /// while the ring is full (backpressure). Thread-safe: any number of
+  /// producers may feed concurrently (per-shard FIFO then follows
+  /// ring-insertion order). `enq` is the instant the record entered the
+  /// service, for latency accounting.
   void feed(const simlog::LogRecord& rec, std::uint32_t tmpl,
             ServeMetrics::Clock::time_point enq);
   void feed(const simlog::LogRecord& rec, std::uint32_t tmpl);
-
-  /// Historical batching hook, now a no-op: producers push straight into
-  /// the shard rings, so there is no dispatcher-side partial batch left to
-  /// hand over. Kept so trickle-feed call sites stay source-compatible.
-  void flush();
 
   /// Drain, stop the workers, close trailing buckets through `t_end_ms`,
   /// and build the merged prediction list. Idempotent.
@@ -171,13 +162,6 @@ class ShardedEngine {
   /// Aggregated engine statistics across shards (valid after finish();
   /// chains_used counts chains that fired in at least one shard).
   const core::EngineStats& stats() const { return stats_; }
-
-  /// Records shed because a shard ring overflowed (drop_on_overflow mode).
-  std::uint64_t dropped_records() const {
-    // relaxed: standalone monotonic counter read for monitoring; nothing
-    // orders against it.
-    return dropped_records_.load(std::memory_order_relaxed);
-  }
 
   /// Dead shard workers revived by the watchdog (kFailWorker recovery).
   std::uint64_t worker_restarts() const {
@@ -234,9 +218,11 @@ class ShardedEngine {
     std::atomic<bool> busy{false};    ///< worker holds an unfinished batch
     // elsa-atomic: release-acquire-flag — the release store at worker exit
     // publishes the shard's carryover to the watchdog's acquire load.
-    std::atomic<bool> alive{false};   ///< worker thread is running
+    std::atomic<bool> alive{false};   ///< worker thread spawned, not dead
   };
 
+  /// Mark the shard alive, then start its worker thread.
+  void spawn_worker(Shard& s, std::size_t idx);
   void worker_loop(Shard& s, std::size_t idx);
   /// Feed every item of `batch` to the shard engine; false when an injected
   /// kFailWorker fault killed the worker mid-batch (the unprocessed tail is
@@ -248,7 +234,7 @@ class ShardedEngine {
   void watchdog_loop();
   void stop_watchdog();
   /// Stream engine-side deltas (new predictions, dedupe, out-of-order) to
-  /// the sink/tap/metrics. Runs on the shard's worker, or on the finishing
+  /// the taps/metrics. Runs on the shard's worker, or on the finishing
   /// thread once workers have joined — never two threads for one `idx` at
   /// once, which is what makes the tap's SPSC hand-off sound.
   void drain_shard(Shard& s, std::size_t idx,
@@ -257,13 +243,10 @@ class ShardedEngine {
   topo::Topology topo_;
   ShardOptions opt_;
   ServeMetrics* metrics_ = nullptr;
-  PredictionSink sink_;
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<core::Prediction> merged_;
   core::EngineStats stats_;
-  // elsa-atomic: monotonic-relaxed — conservation counter, summed only.
-  std::atomic<std::uint64_t> dropped_records_{0};
   // elsa-atomic: monotonic-relaxed — watchdog restart counter, summed only.
   std::atomic<std::uint64_t> restarts_{0};
   bool finished_ = false;
@@ -277,7 +260,7 @@ class ShardedEngine {
   // Rank kEngine: held only for the stop-flag wait — the watchdog's shard
   // scan (ring depth reads, worker joins, metrics flips) runs unlocked, so
   // nothing is ever acquired under it; the rank documents that it sits
-  // above the ring/metrics locks the scan touches.
+  // above the metrics lock the scan touches.
   util::Mutex wd_mu_{"serve::ShardedEngine::wd_mu_", util::lockrank::kEngine};
   util::CondVar wd_cv_;
   bool wd_stop_ ELSA_GUARDED_BY(wd_mu_) = false;

@@ -1,27 +1,30 @@
-// Lock-free bounded ring: the per-shard ingest lane of the serving layer.
+// Lock-free bounded ring: the serving layer's one queue type.
 //
 // One of these sits in front of every shard engine, replacing the old
-// single mutex-guarded MPMC `Ring` that every producer and the dispatcher
+// single mutex-guarded MPMC ring that every producer and the dispatcher
 // contended on (the scalability bug: throughput *fell* as shards were
 // added, because all of them serialized on one lock). Routing now happens
 // on the producer's thread (serve/router.hpp) and each record takes
 // exactly one hop — producer straight into its shard's ring — with no
-// dispatcher and no mutex anywhere on the path.
+// dispatcher and no mutex anywhere on the path. The same ring carries the
+// tap streams out of the shard workers: one per shard in each FanIn
+// (serve/fan_in.hpp), and one shared by every shard for the alarm feed.
 //
-// The deployed topology is single-producer/single-consumer per ring: one
-// feed thread (the replayer / syslog tap of a partition) pushes, the
-// shard's worker pops. The implementation is nevertheless safe under
-// transient multi-producer submits (PredictionService::submit is a public
-// thread-safe API): every slot carries a sequence number (Vyukov's bounded
-// queue protocol), and cursor advancement is a CAS — uncontended in the
-// 1P1C fast path, where it costs the same single locked instruction as a
-// plain atomic increment.
+// The ingest and fan-in topology is single-producer/single-consumer per
+// ring: one feed thread (the replayer / syslog tap of a partition) pushes,
+// the shard's worker pops. The implementation is nevertheless safe with
+// several producers and consumers (PredictionService::submit is a public
+// thread-safe API, and every shard worker offers into the alarm ring):
+// every slot carries a sequence number (Vyukov's bounded queue protocol),
+// and cursor advancement is a CAS — uncontended in the 1P1C fast path,
+// where it costs the same single locked instruction as a plain atomic
+// increment.
 //
 // Geometry: capacity rounds up to a power of two (index masking instead of
 // modulo), and the producer cursor, consumer cursor and close flag live on
 // separate cache lines so the two sides never false-share.
 //
-// Overflow semantics mirror `Ring` exactly — the caller picks per call:
+// Three overflow behaviours — the caller picks per call:
 //   * push()       — block (bounded spin, then yield, then short sleeps)
 //     until space frees up or the ring closes; backpressure.
 //   * offer()      — never block; a full (or closed) ring drops the item

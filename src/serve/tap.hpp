@@ -1,43 +1,52 @@
-// PredictionTap: the serve path's push-side prediction observer — the hook
-// the checkpoint advisor (src/advisor) subscribes through. Unlike the
-// PredictionSink std::function (a convenience callback with no threading
-// contract beyond "may run concurrently"), a tap is handed the *shard
-// index* of the emitting engine, which makes a lock-free per-shard SPSC
-// hand-off possible on the consumer side: for any given shard index, calls
-// are serialized — they run on that shard's worker thread, on its
-// watchdog-restarted successor (the join publishes the predecessor's
+// Tap<T>: the serve path's one per-shard subscriber interface. The shard
+// engines push two streams through it — every issued prediction
+// (Tap<core::Prediction>: the streaming alarm feed behind poll_alarms and
+// the checkpoint advisor) and every classified event
+// (EventTap = Tap<ClassifiedEvent>: the incremental miner). A tap is handed
+// the *shard index* of the emitting engine, which makes a lock-free
+// per-shard hand-off possible on the consumer side: for any given shard
+// index, calls are serialized — they run on that shard's worker thread, on
+// its watchdog-restarted successor (the join publishes the predecessor's
 // writes), or on the finishing thread after every worker has joined — so
 // exactly one producer per shard exists at any instant.
 //
 // Contract for implementations:
-//   * publish() MUST be wait-free: never block, never take a lock the
-//     predict hot path could contend on, never allocate unboundedly. Drop
-//     and count if a bounded buffer is full.
-//   * publish() is called once per prediction per run (the drain cursor in
-//     ShardedEngine::drain_shard guarantees exactly-once streaming even
-//     across injected worker deaths and restarts).
+//   * A lossy tap (every prediction tap) is wait-free: publish() never
+//     blocks, never takes a lock the predict hot path could contend on,
+//     never allocates unboundedly. It drops and counts when a bounded
+//     buffer is full (serve::SpscRing::offer).
+//   * A lossless tap (the miner's event tap) MAY block, with bounded
+//     backpressure into a per-shard ring (serve::SpscRing::push): the
+//     miner's determinism proof needs every event, so the contract trades
+//     wait-freedom for conservation. It must guarantee eventual progress
+//     (a draining consumer or a closed ring), never a lock shared across
+//     shards.
+//   * publish() is called once per item per run. The drain cursor in
+//     ShardedEngine::drain_shard streams each prediction exactly once
+//     across injected worker deaths and restarts, and a fault-killed
+//     worker's unprocessed carryover is published by whoever processes
+//     it, never twice.
 //   * The tap must outlive the engine/service it is registered with.
 //
-// The sharded-ingest refactor (lock-free ShardRouter + per-shard
-// SpscRings, no dispatcher) did not change this contract: predictions are
-// still emitted from drain_shard under the same one-producer-per-shard
-// serialization, whatever thread is draining.
+// serve/fan_in.hpp is the consumer half both services share: per-shard
+// rings, one consumer thread, and the stop/final-sweep handshake.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "elsa/online.hpp"
 
 namespace elsa::serve {
 
-class PredictionTap {
+template <class T>
+class Tap {
  public:
-  virtual ~PredictionTap() = default;
+  virtual ~Tap() = default;
 
-  /// One freshly issued prediction from shard `shard`. Wait-free (see
-  /// file comment); per-shard calls are serialized, cross-shard calls are
-  /// concurrent.
-  virtual void publish(std::size_t shard, const core::Prediction& p) = 0;
+  /// One item from shard `shard`, in shard-stream order. Per-shard calls
+  /// are serialized, cross-shard calls are concurrent.
+  virtual void publish(std::size_t shard, const T& item) = 0;
 };
 
 /// One classified record as the shard engine consumed it: everything the
@@ -49,24 +58,6 @@ struct ClassifiedEvent {
   std::uint8_t severity = 0;  ///< simlog::Severity ordinal
 };
 
-/// The ingest-side sibling of PredictionTap: observes every classified
-/// event exactly once, adjacent to the engine feed, under the same
-/// one-producer-per-shard serialization (worker thread, its
-/// watchdog-restarted successor, or the finishing thread after joins — a
-/// fault-killed worker's unprocessed carryover is re-published by whoever
-/// processes it, never twice).
-///
-/// Unlike PredictionTap, publish() MAY block (bounded backpressure into a
-/// per-shard SPSC ring): the miner's determinism proof needs a lossless
-/// stream, so the contract trades wait-freedom for conservation. An
-/// implementation must guarantee eventual progress (a draining consumer or
-/// a closed ring), never a lock shared across shards.
-class EventTap {
- public:
-  virtual ~EventTap() = default;
-
-  /// One classified event from shard `shard`, in shard-stream order.
-  virtual void publish(std::size_t shard, const ClassifiedEvent& e) = 0;
-};
+using EventTap = Tap<ClassifiedEvent>;
 
 }  // namespace elsa::serve

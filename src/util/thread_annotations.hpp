@@ -80,8 +80,7 @@ class CondVar;
 
 /// Project-wide lock hierarchy, highest (outermost) first. A thread may
 /// only acquire a mutex of *strictly lower* rank than every ranked mutex
-/// it already holds; two same-rank mutexes (e.g. two Rings) must never be
-/// held together. The full table with per-level rules lives in DESIGN.md
+/// it already holds; two same-rank mutexes must never be held together. The full table with per-level rules lives in DESIGN.md
 /// §11; elsa-lint's lock-graph pass checks the same order statically.
 namespace lockrank {
 inline constexpr int kUnranked = -1;   ///< exempt from checking (tests, ad hoc)
@@ -89,7 +88,6 @@ inline constexpr int kBenchCache = 60; ///< benchx::ExperimentCache::mu_
 inline constexpr int kService = 50;    ///< serve::PredictionService::q_mu_
 inline constexpr int kAdvisor = 45;    ///< advisor::CheckpointAdvisor::mu_
 inline constexpr int kEngine = 40;     ///< serve::ShardedEngine::wd_mu_
-inline constexpr int kRing = 30;       ///< serve::Ring<T>::mu_
 inline constexpr int kThreadPool = 20; ///< util::ThreadPool::mu_
 inline constexpr int kMetrics = 10;    ///< serve::ServeMetrics::clock_mu_
 inline constexpr int kLeaf = 0;        ///< util::lgamma_mt fallback serializer

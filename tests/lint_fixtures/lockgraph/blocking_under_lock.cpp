@@ -1,9 +1,10 @@
 // Lock-graph fixture: blocking calls under a held mutex — a potentially
-// unbounded ring pop and a thread join, both while holding mu_. Anyone
-// contending mu_ is wedged until the callee unblocks.
+// unbounded ring pop_wait and a thread join, both while holding mu_.
+// Anyone contending mu_ is wedged until the callee unblocks.
 #include <thread>
+#include <vector>
 
-#include "serve/ring.hpp"
+#include "serve/spsc_ring.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace lockfix {
@@ -12,7 +13,7 @@ class BlockyWorker {
  public:
   void drain_under_lock() ELSA_EXCLUDES(mu_) {
     util::MutexLock lk(mu_);
-    last_ = items_.pop().value_or(0);
+    items_.pop_wait(batch_, 8);
   }
 
   void stop_under_lock() ELSA_EXCLUDES(mu_) {
@@ -21,16 +22,17 @@ class BlockyWorker {
   }
 
   void drain_fine() ELSA_EXCLUDES(mu_) {
-    const int v = items_.pop().value_or(0);
+    std::vector<int> got;
+    items_.pop_wait(got, 8);
     util::MutexLock lk(mu_);
-    last_ = v;
+    batch_.swap(got);
   }
 
  private:
   util::Mutex mu_;
-  serve::Ring<int> items_{8};
+  serve::SpscRing<int> items_{8};
   std::thread worker_;
-  int last_ = 0;
+  std::vector<int> batch_;
 };
 
 }  // namespace lockfix

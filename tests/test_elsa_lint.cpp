@@ -358,7 +358,7 @@ TEST(ElsaLintAtomics, RegistryCoversTheLiveTree) {
   // the real files carries the known fields with their declared protocols,
   // fused by qualified id.
   std::vector<std::pair<std::string, std::string>> files;
-  for (const char* rel : {"/serve/spsc_ring.hpp", "/advisor/spsc.hpp",
+  for (const char* rel : {"/serve/spsc_ring.hpp", "/serve/fan_in.hpp",
                           "/serve/metrics.hpp", "/serve/sharded_engine.hpp",
                           "/serve/model_handle.hpp", "/mining/service.hpp"}) {
     std::ifstream in(std::string(ELSA_SRC_DIR) + rel, std::ios::binary);
@@ -378,7 +378,6 @@ TEST(ElsaLintAtomics, RegistryCoversTheLiveTree) {
   EXPECT_EQ(protocol_of("elsa::serve::SpscRing::tail_"), "monotonic-relaxed");
   EXPECT_EQ(protocol_of("elsa::serve::SpscRing::closed_"),
             "release-acquire-flag");
-  EXPECT_EQ(protocol_of("elsa::advisor::SpscRing::head_"), "spsc-seq");
   EXPECT_EQ(protocol_of("elsa::serve::StripedCounter::Cell::v"),
             "striped-relaxed-counter");
   EXPECT_EQ(protocol_of("elsa::serve::ShardedEngine::Shard::alive"),
@@ -386,8 +385,8 @@ TEST(ElsaLintAtomics, RegistryCoversTheLiveTree) {
   EXPECT_EQ(protocol_of("elsa::serve::RcuHub::Slot::state"), "rcu-handle");
   EXPECT_EQ(protocol_of("elsa::serve::RcuHub::current_"), "rcu-handle");
   EXPECT_EQ(protocol_of("elsa::serve::RcuHub::swaps_"), "monotonic-relaxed");
-  EXPECT_EQ(protocol_of("elsa::mining::MinerService::stop_"),
-            "release-acquire-flag");
+  EXPECT_EQ(protocol_of("elsa::serve::FanIn::stop_"), "release-acquire-flag");
+  EXPECT_EQ(protocol_of("elsa::serve::FanIn::dropped_"), "monotonic-relaxed");
   // Every live field is declared — an empty protocol would mean an
   // atomic-undeclared finding in the gate.
   for (const auto& f : reg) EXPECT_FALSE(f.protocol.empty()) << f.id;
@@ -507,7 +506,7 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
   std::map<std::string, std::string> raw;
   for (const char* rel :
        {"/serve/spsc_ring.hpp", "/serve/router.hpp", "/serve/model_handle.hpp",
-        "/serve/metrics.hpp", "/advisor/spsc.hpp", "/advisor/service.cpp",
+        "/serve/metrics.hpp", "/serve/fan_in.hpp", "/advisor/service.cpp",
         "/advisor/advisor.cpp", "/elsa/online.cpp", "/elsa/model_io.cpp",
         "/mining/miner.cpp", "/mining/service.cpp", "/helo/helo.cpp"}) {
     std::ifstream in(std::string(ELSA_SRC_DIR) + rel, std::ios::binary);
@@ -532,6 +531,7 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
             "realtime+deterministic");
   EXPECT_EQ(contract_of("elsa::serve::StripedCounter::add"), "realtime");
   EXPECT_EQ(contract_of("elsa::advisor::AdvisorService::publish"), "realtime");
+  EXPECT_EQ(contract_of("elsa::serve::FanIn::publish"), "realtime");
   EXPECT_EQ(contract_of("elsa::core::OnlineEngine::feed"),
             "realtime+deterministic");
   EXPECT_EQ(contract_of("elsa::helo::TemplateMiner::classify_const"),
@@ -611,10 +611,10 @@ TEST(ElsaLint, LintRootsReportsInternalErrors) {
 
 TEST(ElsaLint, GithubFormatEmitsWorkflowCommands) {
   const std::vector<Finding> fs = {
-      {"src/serve/ring.hpp", 42, "lock-cycle", "A -> B"}};
+      {"src/serve/spsc_ring.hpp", 42, "lock-cycle", "A -> B"}};
   const std::string out = elsa::lint::format_github(fs);
   EXPECT_EQ(out,
-            "::error file=src/serve/ring.hpp,line=42,"
+            "::error file=src/serve/spsc_ring.hpp,line=42,"
             "title=elsa-lint lock-cycle::[lock-cycle] A -> B\n");
 }
 

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "advisor/spsc.hpp"
 #include "serve/metrics.hpp"
 #include "serve/model_handle.hpp"
 #include "serve/spsc_ring.hpp"
@@ -185,39 +184,40 @@ TEST(InterleaveStripedCounter, SumIsExactAndReadsMonotone) {
   EXPECT_GE(res.distinct, distinct_floor());
 }
 
-// Port 4: the advisor tap hand-off — advisor::SpscRing under overflow, the
-// exact protocol AdvisorService::publish runs per shard: try_push, count
-// the drop on false. accepted + dropped == attempts, and the consumer sees
+// Port 4: the lossy tap hand-off — serve::SpscRing under overflow, the
+// exact calls the advisor's fan-in and the shared alarm feed make: offer
+// (counting the drop on 0) against a try_pop consumer. accepted + dropped
+// == attempts, the ring's own drop counter agrees, and the consumer sees
 // an ordered prefix-subsequence of what was accepted.
 
 Setup advisor_tap_setup() {
   return [](Trial& t) {
     constexpr int kAttempts = 8;
-    auto ring = std::make_shared<elsa::advisor::SpscRing<int>>(2);
+    auto ring = std::make_shared<elsa::serve::SpscRing<int>>(2);
     auto accepted = std::make_shared<std::vector<int>>();
     auto dropped = std::make_shared<int>(0);
     auto got = std::make_shared<std::vector<int>>();
     t.thread([ring, accepted, dropped] {
       for (int i = 0; i < kAttempts; ++i) {
-        if (ring->try_push(i))
+        if (ring->offer(i) != 0)
           accepted->push_back(i);
         else
           ++*dropped;
       }
     });
     t.thread([ring, got] {
-      for (int spins = 0; spins < kAttempts; ++spins) {
-        int v = 0;
-        if (ring->try_pop(v)) got->push_back(v);
-      }
+      for (int spins = 0; spins < kAttempts; ++spins)
+        if (auto v = ring->try_pop()) got->push_back(*v);
     });
     t.check([ring, accepted, dropped, got]() -> std::string {
       if (accepted->size() + static_cast<std::size_t>(*dropped) != kAttempts)
         return "accepted " + std::to_string(accepted->size()) + " + dropped " +
                std::to_string(*dropped) + " != 8";
+      if (ring->dropped() != static_cast<std::uint64_t>(*dropped))
+        return "ring counted " + std::to_string(ring->dropped()) +
+               " drops, producer saw " + std::to_string(*dropped);
       std::vector<int> all(*got);
-      int v = 0;
-      while (ring->try_pop(v)) all.push_back(v);
+      while (auto v = ring->try_pop()) all.push_back(*v);
       if (all != *accepted)
         return "consumed stream is not the accepted stream (got " +
                std::to_string(all.size()) + "/" +
@@ -442,13 +442,12 @@ TEST(InterleaveExhaustive, WatchdogHandshakeWithinPreemptionBound) {
 
 Setup trace_probe_setup() {
   return [](Trial& t) {
-    auto ring = std::make_shared<elsa::advisor::SpscRing<int>>(2);
+    auto ring = std::make_shared<elsa::serve::SpscRing<int>>(2);
     t.thread([ring] {
-      for (int i = 0; i < 3; ++i) ring->try_push(i);
+      for (int i = 0; i < 3; ++i) ring->offer(i);
     });
     t.thread([ring] {
-      int v = 0;
-      for (int i = 0; i < 3; ++i) ring->try_pop(v);
+      for (int i = 0; i < 3; ++i) ring->try_pop();
     });
     t.check([]() -> std::string { return "probe"; });  // always record
   };
@@ -477,7 +476,8 @@ TEST(InterleaveDeterminism, ReplayReproducesTheRecordedTrace) {
 // The negative control: a deliberately weakened SPSC clone that publishes
 // its tail cursor BEFORE writing the slot (the reordering window a correct
 // ring closes by sequencing payload first, release-store after — compare
-// advisor::SpscRing::try_push). The explorer must find the schedule where
+// serve::SpscRing::try_push, which writes the slot before its seq release
+// store). The explorer must find the schedule where
 // the consumer reads the unwritten slot, and the trace must replay.
 
 class WeakSpscRing {

@@ -16,7 +16,7 @@ namespace util = elsa::util;
 
 TEST(LockRank, OrderedAcquisitionRuns) {
   static util::Mutex outer{"test.outer", util::lockrank::kService};
-  static util::Mutex inner{"test.inner", util::lockrank::kRing};
+  static util::Mutex inner{"test.inner", util::lockrank::kThreadPool};
   int guarded = 0;
   {
     util::MutexLock lo(outer);
@@ -77,20 +77,20 @@ using LockRankDeathTest = ::testing::Test;
 
 TEST(LockRankDeathTest, InversionAbortsWithBothNames) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  static util::Mutex dlow{"test.death.ring", util::lockrank::kRing};
+  static util::Mutex dlow{"test.death.pool", util::lockrank::kThreadPool};
   static util::Mutex dhigh{"test.death.service", util::lockrank::kService};
   EXPECT_DEATH(
       {
         util::MutexLock ll(dlow);
         util::MutexLock lh(dhigh);  // rank ascends: must abort
       },
-      "lock-rank inversion.*test\\.death\\.service.*test\\.death\\.ring");
+      "lock-rank inversion.*test\\.death\\.service.*test\\.death\\.pool");
 }
 
 TEST(LockRankDeathTest, EqualRankAbortsToo) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  static util::Mutex eqa{"test.death.a", util::lockrank::kRing};
-  static util::Mutex eqb{"test.death.b", util::lockrank::kRing};
+  static util::Mutex eqa{"test.death.a", util::lockrank::kThreadPool};
+  static util::Mutex eqb{"test.death.b", util::lockrank::kThreadPool};
   EXPECT_DEATH(
       {
         util::MutexLock la(eqa);

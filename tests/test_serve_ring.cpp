@@ -1,10 +1,10 @@
 // Serving-layer primitives under contention: FIFO and close semantics of
-// the bounded MPMC ring and of the lock-free per-shard SpscRing (wrap
-// around, overflow policies, close-while-full, 1P1C stress),
-// no-loss/no-duplication under producer/consumer hammering, the
-// drop-with-counter overflow policy, and the striped lock-free metrics
-// recorders. This is the file CI additionally runs under ASan/UBSan and
-// ThreadSanitizer.
+// the lock-free SpscRing, the serve layer's one queue (wrap around,
+// overflow policies, close-while-full, 1P1C stress), no-loss/no-duplication
+// under producer/consumer hammering, the drop-with-counter overflow policy,
+// the FanIn consumer helper (lossy accounting, close, final sweep,
+// teardown), and the striped lock-free metrics recorders. This is the file
+// CI additionally runs under ASan/UBSan and ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,159 +13,16 @@
 #include <thread>
 #include <vector>
 
+#include "serve/fan_in.hpp"
 #include "serve/metrics.hpp"
-#include "serve/ring.hpp"
 #include "serve/spsc_ring.hpp"
 
 namespace {
 
 using namespace elsa::serve;
 
-TEST(Ring, FifoSingleThread) {
-  Ring<int> ring(4);
-  EXPECT_EQ(ring.push(1), 1u);
-  EXPECT_EQ(ring.push(2), 2u);
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.pop(), 1);
-  EXPECT_EQ(ring.pop(), 2);
-  EXPECT_EQ(ring.try_pop(), std::nullopt);
-}
-
-TEST(Ring, OfferDropsAndCountsOnOverflow) {
-  Ring<int> ring(8);
-  std::size_t accepted = 0;
-  for (int i = 0; i < 100; ++i) accepted += ring.offer(i) != 0;
-  EXPECT_EQ(accepted, 8u);
-  EXPECT_EQ(ring.dropped(), 92u);
-  // FIFO of the survivors.
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(ring.pop(), i);
-}
-
-TEST(Ring, CloseWakesConsumersAndDrains) {
-  Ring<int> ring(4);
-  ring.push(7);
-  ring.close();
-  EXPECT_EQ(ring.push(8), 0u);   // rejected after close
-  EXPECT_EQ(ring.offer(9), 0u);  // counted as a drop
-  EXPECT_EQ(ring.pop(), 7);      // queued items remain poppable
-  EXPECT_EQ(ring.pop(), std::nullopt);
-}
-
-TEST(Ring, CloseUnblocksWaitingConsumer) {
-  Ring<int> ring(2);
-  std::thread consumer([&] { EXPECT_EQ(ring.pop(), std::nullopt); });
-  ring.close();
-  consumer.join();
-}
-
-TEST(Ring, PopAllDrainsInOrder) {
-  Ring<int> ring(16);
-  for (int i = 0; i < 10; ++i) ring.push(i);
-  std::vector<int> out;
-  EXPECT_TRUE(ring.pop_all(out));
-  ASSERT_EQ(out.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-  ring.close();
-  EXPECT_FALSE(ring.pop_all(out));
-}
-
-// The drop-oldest overflow policy: a full ring evicts its head to admit
-// the newcomer, reporting the eviction so the caller can account it shed.
-TEST(Ring, PushEvictDisplacesOldest) {
-  Ring<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_GT(ring.push_evict(i), 0u);
-  EXPECT_EQ(ring.evicted(), 0u);
-
-  bool kicked = false;
-  EXPECT_GT(ring.push_evict(4, &kicked), 0u);  // displaces 0
-  EXPECT_TRUE(kicked);
-  EXPECT_GT(ring.push_evict(5, &kicked), 0u);  // displaces 1
-  EXPECT_TRUE(kicked);
-  EXPECT_EQ(ring.evicted(), 2u);
-  EXPECT_EQ(ring.size(), 4u);
-
-  // The freshest window survives, still FIFO.
-  for (int i = 2; i < 6; ++i) EXPECT_EQ(ring.pop(), i);
-
-  kicked = true;
-  EXPECT_GT(ring.push_evict(9, &kicked), 0u);  // room again: no eviction
-  EXPECT_FALSE(kicked);
-
-  ring.close();
-  EXPECT_EQ(ring.push_evict(10, &kicked), 0u);  // only closed rejects
-  EXPECT_FALSE(kicked);
-  EXPECT_EQ(ring.evicted(), 2u);
-}
-
-// The acceptance property for the ingest spine: under multi-producer,
-// multi-consumer hammering with blocking push, every item comes out exactly
-// once.
-TEST(RingStress, MpmcNoLossNoDuplication) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 20'000;
-  Ring<int> ring(64);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&ring, p] {
-      for (int i = 0; i < kPerProducer; ++i)
-        ASSERT_GT(ring.push(p * kPerProducer + i), 0u);
-    });
-
-  std::vector<std::vector<int>> taken(kConsumers);
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c)
-    consumers.emplace_back([&ring, &taken, c] {
-      while (auto v = ring.pop()) taken[static_cast<std::size_t>(c)].push_back(*v);
-    });
-
-  for (auto& t : producers) t.join();
-  ring.close();
-  for (auto& t : consumers) t.join();
-
-  std::vector<char> seen(kProducers * kPerProducer, 0);
-  std::size_t total = 0;
-  for (const auto& v : taken)
-    for (const int x : v) {
-      ASSERT_GE(x, 0);
-      ASSERT_LT(x, kProducers * kPerProducer);
-      ASSERT_EQ(seen[static_cast<std::size_t>(x)], 0) << "duplicated item " << x;
-      seen[static_cast<std::size_t>(x)] = 1;
-      ++total;
-    }
-  EXPECT_EQ(total, static_cast<std::size_t>(kProducers) * kPerProducer);
-}
-
-// Shedding mode never blocks and never loses the accounting: accepted +
-// dropped adds up across racing producers.
-TEST(RingStress, OfferAccountingAddsUp) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 10'000;
-  Ring<int> ring(128);
-  std::atomic<std::uint64_t> accepted{0};
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i)
-        if (ring.offer(i) != 0) accepted.fetch_add(1);
-    });
-  std::atomic<std::uint64_t> consumed{0};
-  std::thread consumer([&] {
-    while (ring.pop()) consumed.fetch_add(1);
-  });
-  for (auto& t : producers) t.join();
-  ring.close();
-  consumer.join();
-
-  EXPECT_EQ(accepted.load() + ring.dropped(),
-            static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_EQ(consumed.load(), accepted.load());
-}
-
 // ---------------------------------------------------------------------------
-// SpscRing: the lock-free per-shard ingest lane.
+// SpscRing: the per-shard ingest lanes, the fan-in rings and the alarm feed.
 
 TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
@@ -206,8 +63,8 @@ TEST(SpscRing, OfferDropsAndCountsOnOverflow) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(ring.try_pop(), i);
 }
 
-// Same contract as the mutex ring: a full ring displaces its OLDEST item
-// (counted, reported), never the newcomer; only close rejects.
+// A full ring displaces its OLDEST item (counted, reported), never the
+// newcomer; only close rejects.
 TEST(SpscRing, PushEvictDisplacesOldest) {
   SpscRing<int> ring(4);
   for (int i = 0; i < 4; ++i) EXPECT_GT(ring.push_evict(i), 0u);
@@ -261,6 +118,18 @@ TEST(SpscRing, CloseWhileFullUnblocksProducer) {
   EXPECT_EQ(ring.dropped(), 1u);
 }
 
+// close() wakes a consumer parked in pop_wait on an empty ring: it reports
+// closed-and-drained.
+TEST(SpscRing, CloseUnblocksWaitingConsumer) {
+  SpscRing<int> ring(2);
+  std::thread consumer([&] {
+    std::vector<int> out;
+    EXPECT_FALSE(ring.pop_wait(out, 8));
+  });
+  ring.close();
+  consumer.join();
+}
+
 // The deployed topology: one producer, one consumer, batched pops. Every
 // item arrives exactly once, in order. (CI also runs this under TSan —
 // it is the data-race acceptance test for the Vyukov slot protocol.)
@@ -286,8 +155,9 @@ TEST(SpscRingStress, SingleProducerSingleConsumerExactFifo) {
   for (int i = 0; i < kItems; ++i) ASSERT_EQ(got[static_cast<std::size_t>(i)], i);
 }
 
-// submit() is a public thread-safe API, so the ring must also hold up
-// under multi-producer shedding: accepted + dropped adds up exactly, and
+// submit() is a public thread-safe API, and every shard worker offers into
+// the one shared alarm ring, so the ring must also hold up under
+// multi-producer shedding: accepted + dropped adds up exactly, and
 // consumers see each accepted item once.
 TEST(SpscRingStress, MultiProducerOfferAccountingAddsUp) {
   constexpr int kProducers = 4;
@@ -318,6 +188,50 @@ TEST(SpscRingStress, MultiProducerOfferAccountingAddsUp) {
   EXPECT_EQ(consumed.load(), accepted.load());
 }
 
+// Several producers pushing with backpressure, several consumers draining:
+// every item comes out exactly once.
+TEST(SpscRingStress, MultiProducerMultiConsumerNoLossNoDuplication) {
+  constexpr int kProducers = 4;
+  constexpr int kConsumers = 3;
+  constexpr int kPerProducer = 20'000;
+  SpscRing<int> ring(64);
+
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p)
+    producers.emplace_back([&ring, p] {
+      for (int i = 0; i < kPerProducer; ++i)
+        ASSERT_GT(ring.push(p * kPerProducer + i), 0u);
+    });
+
+  std::vector<std::vector<int>> taken(kConsumers);
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c)
+    consumers.emplace_back([&ring, &taken, c] {
+      std::vector<int>& mine = taken[static_cast<std::size_t>(c)];
+      std::vector<int> buf;
+      while (ring.pop_wait(buf, 16)) {
+        mine.insert(mine.end(), buf.begin(), buf.end());
+        buf.clear();
+      }
+    });
+
+  for (auto& t : producers) t.join();
+  ring.close();
+  for (auto& t : consumers) t.join();
+
+  std::vector<char> seen(kProducers * kPerProducer, 0);
+  std::size_t total = 0;
+  for (const auto& v : taken)
+    for (const int x : v) {
+      ASSERT_GE(x, 0);
+      ASSERT_LT(x, kProducers * kPerProducer);
+      ASSERT_EQ(seen[static_cast<std::size_t>(x)], 0) << "duplicated item " << x;
+      seen[static_cast<std::size_t>(x)] = 1;
+      ++total;
+    }
+  EXPECT_EQ(total, static_cast<std::size_t>(kProducers) * kPerProducer);
+}
+
 // push_evict racing a live consumer: every push lands (never rejected
 // while open), and at the end every pushed item is accounted consumed or
 // evicted — the eviction counter never over- or under-counts.
@@ -340,6 +254,105 @@ TEST(SpscRingStress, PushEvictAccountingUnderConcurrentConsumer) {
 
   EXPECT_EQ(consumed.load() + ring.evicted(),
             static_cast<std::uint64_t>(kItems));
+}
+
+// ---------------------------------------------------------------------------
+// FanIn: per-shard rings into one consumer thread (advisor and miner).
+
+using IntFanIn = FanIn<int>;
+
+// Lossy mode never blocks and never loses the accounting: every attempt is
+// either queued (and later taken, in per-shard order) or counted dropped —
+// an unknown shard index included.
+TEST(FanIn, LossyAcceptedPlusDroppedEqualsAttempts) {
+  constexpr int kPerShard = 50;
+  IntFanIn fan(2, 8, IntFanIn::Mode::kLossy);
+  std::vector<std::vector<int>> accepted(2);
+  std::uint64_t attempts = 0;
+  for (int i = 0; i < kPerShard; ++i)
+    for (std::size_t s = 0; s < 2; ++s) {
+      ++attempts;
+      if (fan.publish(s, i)) accepted[s].push_back(i);
+    }
+  ++attempts;
+  EXPECT_FALSE(fan.publish(7, 0));  // no such shard: dropped, not lost
+  EXPECT_EQ(accepted[0].size(), 8u);  // nothing consumes yet: rings full
+  EXPECT_EQ(accepted[0].size() + accepted[1].size() + fan.dropped(), attempts);
+
+  std::vector<std::vector<int>> taken(2);
+  fan.start([&taken](std::size_t s, int&& v) { taken[s].push_back(v); });
+  fan.stop();
+  EXPECT_EQ(taken, accepted);
+}
+
+// close() releases a producer parked in a lossless publish on a full ring;
+// the item is not queued.
+TEST(FanIn, CloseReleasesBlockedLosslessPublish) {
+  IntFanIn fan(1, 2, IntFanIn::Mode::kLossless);
+  ASSERT_TRUE(fan.publish(0, 1));
+  ASSERT_TRUE(fan.publish(0, 2));
+  std::atomic<bool> returned{false};
+  std::thread producer([&] {
+    EXPECT_FALSE(fan.publish(0, 3));  // full -> blocks -> close fails it
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  fan.close();
+  producer.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(fan.dropped(), 0u);  // lossless mode counts nothing
+}
+
+// Everything published before stop() reaches take() — in per-shard order,
+// whatever the consumer was doing when the stop landed — and swept(true)
+// comes exactly once, after the last item.
+TEST(FanIn, FinalSweepDeliversEverythingPublishedBeforeStop) {
+  constexpr int kShards = 3;
+  constexpr int kPerShard = 5'000;
+  IntFanIn fan(kShards, 16, IntFanIn::Mode::kLossless);
+  std::vector<std::vector<int>> taken(kShards);
+  int finals = 0;
+  bool item_after_final = false;
+  fan.start(
+      [&](std::size_t s, int&& v) {
+        item_after_final = item_after_final || finals > 0;
+        taken[s].push_back(v);
+      },
+      [&finals](bool final) { finals += final ? 1 : 0; });
+
+  std::vector<std::thread> producers;
+  for (std::size_t s = 0; s < kShards; ++s)
+    producers.emplace_back([&fan, s] {
+      for (int i = 0; i < kPerShard; ++i) ASSERT_TRUE(fan.publish(s, i));
+    });
+  for (auto& t : producers) t.join();
+  fan.stop();
+  fan.stop();  // idempotent
+
+  EXPECT_EQ(finals, 1);
+  EXPECT_FALSE(item_after_final);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    ASSERT_EQ(taken[s].size(), static_cast<std::size_t>(kPerShard)) << s;
+    for (int i = 0; i < kPerShard; ++i)
+      ASSERT_EQ(taken[s][static_cast<std::size_t>(i)], i) << s;
+  }
+}
+
+// Destroying a helper nobody stopped returns promptly — with a running
+// consumer (whose final sweep still takes what was queued) or without one.
+TEST(FanIn, DestructionWithoutStopDoesNotHang) {
+  std::vector<int> taken;
+  {
+    IntFanIn fan(2, 4, IntFanIn::Mode::kLossless);
+    fan.start([&taken](std::size_t, int&& v) { taken.push_back(v); });
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(fan.publish(0, i));
+  }
+  EXPECT_EQ(taken, (std::vector<int>{0, 1, 2, 3}));
+  {
+    IntFanIn idle(2, 4, IntFanIn::Mode::kLossless);
+    ASSERT_TRUE(idle.publish(1, 9));
+  }
 }
 
 // ---------------------------------------------------------------------------

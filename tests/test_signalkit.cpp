@@ -1,6 +1,5 @@
 // Signal-toolkit tests: sampling, FFT (round-trip, correctness on known
-// spectra), autocorrelation, Haar wavelets (perfect reconstruction,
-// denoising), filters, and the periodic/noise/silent classifier on
+// spectra), autocorrelation, and the periodic/noise/silent classifier on
 // synthetic signals of each class.
 #include <gtest/gtest.h>
 
@@ -9,9 +8,7 @@
 
 #include "signalkit/classify.hpp"
 #include "signalkit/fft.hpp"
-#include "signalkit/filters.hpp"
 #include "signalkit/signal.hpp"
-#include "signalkit/wavelet.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -94,89 +91,6 @@ TEST(Fft, AutocorrelationOfConstantIsZero) {
   std::vector<double> x(128, 5.0);
   const auto acf = autocorrelation(x, 10);
   for (double v : acf) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(Wavelet, MaxLevels) {
-  EXPECT_EQ(max_haar_levels(1), 0u);
-  EXPECT_EQ(max_haar_levels(8), 3u);
-  EXPECT_EQ(max_haar_levels(12), 2u);
-}
-
-TEST(Wavelet, PerfectReconstruction) {
-  Rng rng(5);
-  std::vector<double> x(64);
-  for (auto& v : x) v = rng.uniform(-10, 10);
-  auto w = x;
-  haar_forward(w, 3);
-  haar_inverse(w, 3);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_NEAR(w[i], x[i], 1e-10);
-}
-
-TEST(Wavelet, EnergyPreserved) {
-  Rng rng(6);
-  std::vector<double> x(128);
-  double e0 = 0.0;
-  for (auto& v : x) {
-    v = rng.uniform(-3, 3);
-    e0 += v * v;
-  }
-  auto w = x;
-  haar_forward(w, 4);
-  double e1 = 0.0;
-  for (double v : w) e1 += v * v;
-  EXPECT_NEAR(e0, e1, 1e-8);  // orthonormal transform
-}
-
-TEST(Wavelet, DenoiseReducesNoiseKeepsTrend) {
-  Rng rng(7);
-  const std::size_t n = 512;
-  std::vector<double> clean(n), noisy(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clean[i] = 10.0 + 5.0 * std::sin(2.0 * std::numbers::pi *
-                                     static_cast<double>(i) / 128.0);
-    noisy[i] = clean[i] + rng.normal(0.0, 1.0);
-  }
-  const auto denoised = wavelet_denoise(noisy, 4);
-  ASSERT_EQ(denoised.size(), n);
-  double err_noisy = 0.0, err_denoised = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    err_noisy += (noisy[i] - clean[i]) * (noisy[i] - clean[i]);
-    err_denoised += (denoised[i] - clean[i]) * (denoised[i] - clean[i]);
-  }
-  EXPECT_LT(err_denoised, err_noisy * 0.7);
-}
-
-TEST(Wavelet, DenoiseHandlesOddSizes) {
-  std::vector<double> x(100, 1.0);
-  const auto d = wavelet_denoise(x, 3);
-  ASSERT_EQ(d.size(), 100u);
-  for (double v : d) EXPECT_NEAR(v, 1.0, 1e-9);
-}
-
-TEST(Filters, MovingAverageSmooths) {
-  const std::vector<double> x{0, 0, 10, 0, 0};
-  const auto y = moving_average(x, 1);
-  EXPECT_NEAR(y[2], 10.0 / 3.0, 1e-12);
-  EXPECT_NEAR(y[0], 0.0, 1e-12);
-  // Mass is preserved under centred averaging of this symmetric pulse.
-  EXPECT_NEAR(y[1] + y[2] + y[3], 10.0, 1e-9);
-}
-
-TEST(Filters, CausalMedianSuppressesSpike) {
-  std::vector<double> x(50, 2.0);
-  x[25] = 100.0;
-  const auto y = causal_median(x, 5);
-  EXPECT_DOUBLE_EQ(y[25], 2.0);  // single spike never becomes the median
-  EXPECT_DOUBLE_EQ(y[49], 2.0);
-}
-
-TEST(Filters, DownsampleSums) {
-  const std::vector<double> x{1, 2, 3, 4, 5};
-  const auto y = downsample_sum(x, 2);
-  ASSERT_EQ(y.size(), 3u);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
-  EXPECT_DOUBLE_EQ(y[2], 5.0);
 }
 
 // ---- classifier on the three synthetic classes of paper Fig 1 ----------

@@ -19,7 +19,8 @@
 //       service (bounded ingest queue, one engine per topology shard),
 //       print alarms as they are issued, and report serving metrics.
 //       --speedup X replays at X trace-seconds per wall-second; 0 (the
-//       default) replays as fast as possible.
+//       default) replays as fast as possible. --shed 1 selects the shed
+//       overflow policy: a full shard ring refuses the record (counted).
 //
 //   elsa chaos --system bluegene|mercury --log LOG --model MODEL
 //              [--plan SPEC|all|none] [--seed S] [--shards N]
@@ -303,13 +304,14 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
 
   serve::ServiceConfig scfg;  // zero-cost model: latency is measured, not simulated
   if (flags.count("shards")) scfg.shards = std::stoul(flags.at("shards"));
+  if (flags.count("shed") && flags.at("shed") != "0")
+    scfg.overflow = serve::OverflowPolicy::kShed;
   scfg.engine.use_location = model.method != core::Method::DataMining;
   scfg.engine.raw_event_matching = model.method == core::Method::DataMining;
   serve::PredictionService service(trace.topology, model, scfg);
 
   serve::ReplayOptions ro;
   if (flags.count("speedup")) ro.speedup = std::stod(flags.at("speedup"));
-  ro.shed = flags.count("shed") && flags.at("shed") != "0";
   const serve::TraceReplayer replayer(trace, ro);
 
   // Feed from a producer thread; stream alarms from this one.
@@ -381,9 +383,8 @@ int cmd_chaos(const std::map<std::string, std::string>& flags) {
 
   serve::ReplayOptions ro;
   if (flags.count("speedup")) ro.speedup = std::stod(flags.at("speedup"));
-  // Shed + bounded retry exercises the full degradation surface when the
-  // policy is shed; block/drop-oldest exercise theirs through submit().
-  ro.shed = scfg.overflow == serve::OverflowPolicy::kShed;
+  // Under the shed policy the bounded retry exercises the full degradation
+  // surface; block/drop-oldest never refuse, so they never retry.
   ro.max_retries = 3;
   const serve::TraceReplayer replayer(trace, ro);
 
@@ -653,7 +654,6 @@ int cmd_advise(const std::map<std::string, std::string>& flags) {
 
   serve::ReplayOptions ro;
   if (flags.count("speedup")) ro.speedup = std::stod(flags.at("speedup"));
-  ro.shed = acfg.serve.overflow == serve::OverflowPolicy::kShed;
   ro.max_retries = 3;
 
   // -- calibration pass: alarm episodes per failure on the training window

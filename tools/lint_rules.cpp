@@ -711,7 +711,7 @@ struct LockDecl {
 /// Project-wide symbol tables feeding the body-analysis pass.
 struct LockSymbols {
   std::map<std::string, LockDecl> locks;  ///< "Class::mu_" → decl site
-  std::set<std::string> ring_vars;        ///< names of Ring-typed variables
+  std::set<std::string> ring_vars;        ///< names of SpscRing-typed variables
   std::set<std::string> cv_vars;          ///< names of CondVar variables
   std::set<std::string> lock_classes;     ///< classes owning ≥1 Mutex
   /// "Class::method" → lock ids the callee acquires (ELSA_EXCLUDES/ACQUIRE).
@@ -765,8 +765,8 @@ void collect_decls(const std::string& path, const std::vector<Tok>& t,
       if (!syms.locks.count(id)) syms.locks[id] = {path, tk.line};
       if (!ctx.empty()) syms.lock_classes.insert(ctx);
     }
-    // Ring<...> declaration → remember the variable name.
-    if (tk.text == "Ring" && i + 1 < t.size() && !t[i + 1].ident &&
+    // SpscRing<...> declaration → remember the variable name.
+    if (tk.text == "SpscRing" && i + 1 < t.size() && !t[i + 1].ident &&
         t[i + 1].text == "<") {
       int depth = 0;
       std::size_t j = i + 1;
@@ -853,7 +853,7 @@ struct EdgeInfo {
 using EdgeMap = std::map<std::pair<std::string, std::string>, EdgeInfo>;
 
 const std::set<std::string>& blocking_ring_methods() {
-  static const std::set<std::string> m = {"push", "pop", "pop_all"};
+  static const std::set<std::string> m = {"push", "pop_wait"};
   return m;
 }
 
@@ -1035,7 +1035,7 @@ void analyze_file(const std::string& path, const std::vector<Tok>& t,
       if (!held.empty()) {
         std::string cls;
         if (syms.var_cls.count(recv)) cls = syms.var_cls.at(recv);
-        else if (syms.ring_vars.count(recv)) cls = "Ring";
+        else if (syms.ring_vars.count(recv)) cls = "SpscRing";
         call_edges(cls, method, line);
       }
       continue;

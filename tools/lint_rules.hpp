@@ -27,7 +27,7 @@
 //   cv-wait-extra-lock  — a CondVar wait while a second mutex is held
 //                         (the wait releases only its own mutex; anything
 //                         else held starves every contender).
-//   blocking-under-lock — a blocking call (Ring push/pop/pop_all, thread
+//   blocking-under-lock — a blocking call (SpscRing push/pop_wait, thread
 //                         join, sleep, blocking I/O) under a held Mutex.
 //
 // Whole-project atomics-protocol rules (lint_atomics / lint_roots): a
@@ -108,7 +108,8 @@ struct Finding {
 
 /// Lint one file's contents. `path` supplies the extension (header rules)
 /// and the module for layering — pass a src-rooted path such as
-/// "src/serve/ring.hpp" or a src-relative one such as "serve/ring.hpp".
+/// "src/serve/spsc_ring.hpp" or a src-relative one such as
+/// "serve/spsc_ring.hpp".
 std::vector<Finding> lint_file(const std::string& path,
                                const std::string& contents);
 
