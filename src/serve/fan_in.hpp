@@ -4,7 +4,7 @@
 // events) both run on it.
 //
 //   shard workers --publish(shard, item)--> SpscRing[shard]
-//                                               | try_pop, shard order
+//                                               | pop_n, shard order
 //                                       consumer thread: take(shard, item)
 //                                               | after a sweep
 //                                            swept(final)
@@ -13,12 +13,13 @@
 // take(); after a sweep that took anything it calls swept(false) and sweeps
 // again at once. After an empty sweep it checks the stop flag: once stop()
 // is observed it runs one final sweep and swept(true), then exits; until
-// then it naps 200 µs. Each shard's items reach take() in publish order,
-// so a consumer sees exactly the per-shard streams the engines emit.
+// then it spins briefly and parks on one util::EventCount that every ring
+// notifies when an item lands, and stop() notifies too. Each shard's
+// items reach take() in publish order, so a consumer sees exactly the
+// per-shard streams the engines emit.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "serve/spsc_ring.hpp"
+#include "util/eventcount.hpp"
 
 namespace elsa::serve {
 
@@ -45,7 +47,7 @@ class FanIn {
   FanIn(std::size_t shards, std::size_t capacity, Mode mode) : mode_(mode) {
     rings_.reserve(shards);
     for (std::size_t i = 0; i < shards; ++i)
-      rings_.push_back(std::make_unique<SpscRing<T>>(capacity));
+      rings_.push_back(std::make_unique<SpscRing<T>>(capacity, &ready_));
   }
 
   /// close() then stop(): never hangs, whether or not the consumer was
@@ -67,7 +69,7 @@ class FanIn {
   /// shard index past shards()) drops the item and counts it. Lossless:
   /// waits for space; false only after close().
   // elsa-realtime: the shard worker's hand-off — one ring offer or push
-  // (whose bounded backoff nap is allowed at its site), nothing else.
+  // (whose park on a full ring is allowed at its site), nothing else.
   bool publish(std::size_t shard, const T& item) {
     if (shard < rings_.size()) {
       SpscRing<T>& ring = *rings_[shard];
@@ -102,6 +104,7 @@ class FanIn {
     // release: pairs with the consumer's acquire load, so its final sweep
     // sees everything published before the stop.
     stop_.store(true, std::memory_order_release);
+    ready_.notify_all();
     if (consumer_.joinable()) consumer_.join();
   }
 
@@ -113,35 +116,48 @@ class FanIn {
   }
 
  private:
-  bool sweep(const Take& take) {
+  /// Items the consumer pops per pop_n call: a producer parked on a full
+  /// lossless ring is woken once per batch, not once per item.
+  static constexpr std::size_t kBatch = 64;
+
+  bool sweep(const Take& take, std::vector<T>& batch) {
     bool any = false;
     for (std::size_t s = 0; s < rings_.size(); ++s)
-      while (auto item = rings_[s]->try_pop()) {
-        take(s, std::move(*item));
+      while (rings_[s]->pop_n(batch, kBatch) != 0) {
+        for (T& item : batch) take(s, std::move(item));
+        batch.clear();
         any = true;
       }
     return any;
   }
 
   void run(const Take& take, const Swept& swept) {
+    std::vector<T> batch;
+    batch.reserve(kBatch);
     for (;;) {
-      if (sweep(take)) {
+      bool took = false;
+      ready_.await([&] {
+        took = sweep(take, batch);
+        // acquire: pairs with the release store in stop() — once observed,
+        // every publish that happened before the stop is visible, so the
+        // final sweep below cannot miss an item.
+        return took || stop_.load(std::memory_order_acquire);
+      });
+      if (took) {
         if (swept) swept(false);
         continue;
       }
-      // acquire: pairs with the release store in stop() — once observed,
-      // every publish that happened before the stop is visible, so the
-      // final sweep below cannot miss an item.
-      if (stop_.load(std::memory_order_acquire)) {
-        sweep(take);
-        if (swept) swept(true);
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      sweep(take, batch);
+      if (swept) swept(true);
+      return;
     }
   }
 
   const Mode mode_;
+  /// Every ring notifies it when an item lands, and stop() when the stop
+  /// flag is up: the consumer parks on it. Declared before rings_, which
+  /// point at it.
+  util::EventCount ready_;
   std::vector<std::unique_ptr<SpscRing<T>>> rings_;
   // elsa-atomic: monotonic-relaxed — lossy overflow counter, summed only.
   std::atomic<std::uint64_t> dropped_{0};

@@ -25,62 +25,45 @@
 // separate cache lines so the two sides never false-share.
 //
 // Three overflow behaviours — the caller picks per call:
-//   * push()       — block (bounded spin, then yield, then short sleeps)
-//     until space frees up or the ring closes; backpressure.
+//   * push()       — block until space frees up or the ring closes;
+//     backpressure.
 //   * offer()      — never block; a full (or closed) ring drops the item
 //     and counts it in dropped(); load shedding.
 //   * push_evict() — never block, never reject while open: a full ring
 //     discards its OLDEST queued item(s) (counted in evicted(), and
 //     reported in `*evicted_out`) to admit the new one; freshness-first.
 //
-// close() makes every subsequent push attempt fail fast; items already
-// queued remain poppable, and pop_wait() returns false once the ring is
-// closed and drained. One closing race is deliberately tolerated: a push
-// that passed the closed check just before close() may still land its
-// item. ShardedEngine::finish() runs a serial try_pop drain after joining
-// the workers, so such stragglers are still processed exactly once —
-// conservation holds.
+// Blocking waits (push on a full ring, pop_wait on an empty one) spin
+// briefly, then park on a util::EventCount (util/eventcount.hpp): every
+// landed item notifies the ring's "readable" eventcount, and every drained
+// batch (pop_n, try_pop) its "writable" one. A notify costs one fence and
+// one load unless a thread is parked. A ring can be handed a shared
+// readable eventcount, so that one consumer parks on several rings
+// (serve/fan_in.hpp).
+//
+// close() makes every subsequent push attempt fail fast and wakes every
+// parked thread; items already queued remain poppable, and pop_wait()
+// returns false once the ring is closed and drained. One closing race is
+// deliberately tolerated: a push that passed the closed check just before
+// close() may still land its item. ShardedEngine::finish() runs a serial
+// try_pop drain after joining the workers, so such stragglers are still
+// processed exactly once — conservation holds.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
+#include "util/eventcount.hpp"
 #include "util/interleave.hpp"
 
 namespace elsa::serve {
 
 namespace detail {
-
-/// Progressive waiting for the ring's blocking paths: burn a few cycles
-/// first (the partner is usually mid-operation), then yield the core
-/// (essential on boxes with fewer cores than threads), then sleep in
-/// short bounded naps so an idle worker costs ~nothing.
-class SpinBackoff {
- public:
-  void pause() {
-    ++spins_;
-    if (spins_ < 16) return;
-    if (spins_ < 64) {
-      std::this_thread::yield();
-      return;
-    }
-    // elsa-lint: allow(realtime-blocks): the bounded 100µs nap is the ring's
-    // designed backpressure strategy — only the explicitly blocking variants
-    // (push, pop_wait) reach it; the wait-free ones never construct a backoff.
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  void reset() { spins_ = 0; }
-
- private:
-  int spins_ = 0;
-};
 
 inline std::size_t round_up_pow2(std::size_t v) {
   std::size_t p = 2;
@@ -93,8 +76,13 @@ inline std::size_t round_up_pow2(std::size_t v) {
 template <class T>
 class SpscRing {
  public:
-  /// `capacity` is rounded up to a power of two (minimum 2).
-  explicit SpscRing(std::size_t capacity) {
+  /// `capacity` is rounded up to a power of two (minimum 2). `readable`,
+  /// if set, is the eventcount this ring notifies when an item lands and
+  /// pop_wait() parks on, instead of the ring's own; it must outlive the
+  /// ring.
+  explicit SpscRing(std::size_t capacity,
+                    util::EventCount* readable = nullptr)
+      : readable_(readable != nullptr ? readable : &own_readable_) {
     if (capacity == 0) throw std::invalid_argument("SpscRing: zero capacity");
     const std::size_t cap = detail::round_up_pow2(capacity);
     mask_ = cap - 1;
@@ -146,15 +134,17 @@ class SpscRing {
   /// Blocking push. Returns the queue depth after insertion (>= 1), or 0
   /// if the ring was closed — the item was not enqueued.
   // elsa-realtime: producer ingest; allocation- and lock-free (its one
-  // blocking effect, the backoff nap, carries a reasoned allow above).
+  // blocking effect, the park on a full ring, carries a reasoned allow in
+  // util/eventcount.hpp).
   std::size_t push(T item) {
-    detail::SpinBackoff backoff;
-    for (;;) {
-      if (closed()) return 0;
-      const std::size_t depth = try_push(item);
-      if (depth != 0) return depth;
-      backoff.pause();
-    }
+    std::size_t depth = 0;
+    writable_.await([&] {
+      if (closed()) return true;
+      depth = try_push(item);
+      return depth != 0;
+    });
+    if (depth != 0) readable_->notify_all();
+    return depth;
   }
 
   /// Non-blocking push. On a full (or closed) ring the item is dropped and
@@ -163,7 +153,10 @@ class SpscRing {
   std::size_t offer(T item) {
     if (!closed()) {
       const std::size_t depth = try_push(item);
-      if (depth != 0) return depth;
+      if (depth != 0) {
+        readable_->notify_all();
+        return depth;
+      }
     }
     util::sched_point();
     // relaxed: monotonic shed counter; readers only ever sum it, never
@@ -198,12 +191,78 @@ class SpscRing {
       evicted_.fetch_add(kicked, std::memory_order_relaxed);
     }
     if (evicted_out) *evicted_out = kicked;
+    if (depth != 0) readable_->notify_all();
     return depth;
   }
 
-  /// Non-blocking pop.
+  /// Non-blocking pop. Wakes a producer parked on a full ring; a consumer
+  /// that drains many items should prefer pop_n, which wakes once per batch.
   // elsa-realtime: consumer fast path.
   std::optional<T> try_pop() {
+    std::optional<T> item = take_one();
+    if (item) writable_.notify_all();
+    return item;
+  }
+
+  /// Batched non-blocking pop: append up to `max` items to `out` in FIFO
+  /// order; returns how many were taken. Wakes a producer parked on a full
+  /// ring once per call, not once per item.
+  // elsa-realtime: batched consumer drain into a caller-owned buffer.
+  std::size_t pop_n(std::vector<T>& out, std::size_t max) {
+    std::size_t n = 0;
+    while (n < max) {
+      auto item = take_one();
+      if (!item) break;
+      // elsa-lint: allow(realtime-allocates): appends into the caller's
+      // long-lived drain buffer — worker loops reserve once and reuse it,
+      // so steady state never grows capacity.
+      out.push_back(std::move(*item));
+      ++n;
+    }
+    if (n != 0) writable_.notify_all();
+    return n;
+  }
+
+  /// Batched blocking pop: wait until at least one item is available (then
+  /// drain up to `max` of them into `out`), or the ring is closed and
+  /// empty — the false return, the consumer's exit signal.
+  // elsa-realtime: worker wait loop (the park carries a reasoned allow in
+  // util/eventcount.hpp).
+  bool pop_wait(std::vector<T>& out, std::size_t max) {
+    std::size_t n = 0;
+    readable_->await([&] {
+      n = pop_n(out, max);
+      if (n != 0) return true;
+      if (!closed()) return false;
+      // Final drain: an in-flight push may have landed between the empty
+      // pop and the closed observation.
+      n = pop_n(out, max);
+      return true;
+    });
+    return n != 0;
+  }
+
+  /// Stop accepting items: every later push attempt fails fast (push and
+  /// push_evict return 0, offer counts a drop), and every parked producer
+  /// and consumer wakes. Idempotent. Items already queued remain poppable.
+  // elsa-realtime: a store-release plus two notifies.
+  void close() {
+    util::sched_point();
+    closed_.store(true, std::memory_order_release);
+    writable_.notify_all();
+    readable_->notify_all();
+  }
+
+ private:
+  struct Slot {
+    // elsa-atomic: seqlock — per-slot generation number (Vyukov protocol):
+    // the release store of seq publishes val, the acquire load consumes it.
+    std::atomic<std::size_t> seq;
+    T val;
+  };
+
+  /// One dequeue attempt; wakes nobody.
+  std::optional<T> take_one() {
     util::sched_point();
     // relaxed: own-side cursor hint; the CAS below re-validates it.
     std::size_t pos = head_.load(std::memory_order_relaxed);
@@ -234,57 +293,6 @@ class SpscRing {
       }
     }
   }
-
-  /// Batched non-blocking pop: append up to `max` items to `out` in FIFO
-  /// order; returns how many were taken.
-  // elsa-realtime: batched consumer drain into a caller-owned buffer.
-  std::size_t pop_n(std::vector<T>& out, std::size_t max) {
-    std::size_t n = 0;
-    while (n < max) {
-      auto item = try_pop();
-      if (!item) break;
-      // elsa-lint: allow(realtime-allocates): appends into the caller's
-      // long-lived drain buffer — worker loops reserve once and reuse it,
-      // so steady state never grows capacity.
-      out.push_back(std::move(*item));
-      ++n;
-    }
-    return n;
-  }
-
-  /// Batched blocking pop: wait until at least one item is available (then
-  /// drain up to `max` of them into `out`), or the ring is closed and
-  /// empty — the false return, the consumer's exit signal.
-  // elsa-realtime: worker wait loop (bounded backoff naps allowed above).
-  bool pop_wait(std::vector<T>& out, std::size_t max) {
-    detail::SpinBackoff backoff;
-    for (;;) {
-      if (pop_n(out, max) > 0) return true;
-      if (closed()) {
-        // Final drain: an in-flight push may have landed between the empty
-        // pop and the closed observation.
-        return pop_n(out, max) > 0;
-      }
-      backoff.pause();
-    }
-  }
-
-  /// Stop accepting items: every later push attempt fails fast (push and
-  /// push_evict return 0, offer counts a drop). Idempotent. Items already
-  /// queued remain poppable.
-  // elsa-realtime: a single store-release.
-  void close() {
-    util::sched_point();
-    closed_.store(true, std::memory_order_release);
-  }
-
- private:
-  struct Slot {
-    // elsa-atomic: seqlock — per-slot generation number (Vyukov protocol):
-    // the release store of seq publishes val, the acquire load consumes it.
-    std::atomic<std::size_t> seq;
-    T val;
-  };
 
   /// One enqueue attempt. Returns the approximate depth after insertion
   /// (clamped to >= 1), or 0 when the ring is full.
@@ -358,13 +366,21 @@ class SpscRing {
 
   std::size_t mask_ = 0;
   std::unique_ptr<Slot[]> slots_;
+  /// Notified when an item lands; read by both sides, so it stays off the
+  /// producer's line (a consumer reading it there on every wait costs the
+  /// producer's tail CAS a cache miss per item).
+  util::EventCount* readable_;
   /// Producer and consumer cursors on their own cache lines: the two sides
-  /// of the ring never false-share, which is most of the point.
+  /// of the ring never false-share, which is most of the point. Each
+  /// eventcount shares the line of the side that notifies it on every
+  /// operation; the other side writes it only when it parks.
   // elsa-atomic: monotonic-relaxed — cursors order nothing themselves; all
   // publication rides the per-slot seq (seqlock), so relaxed CAS is sound.
   alignas(64) std::atomic<std::size_t> tail_{0};  ///< next slot to fill
+  util::EventCount own_readable_;  ///< pop_wait parks here unless shared
   // elsa-atomic: monotonic-relaxed — as tail_; seq carries the ordering.
   alignas(64) std::atomic<std::size_t> head_{0};  ///< next slot to drain
+  util::EventCount writable_;  ///< push parks here; pops notify it
   // elsa-atomic: release-acquire-flag — close() publishes, closed() pairs.
   alignas(64) std::atomic<bool> closed_{false};
   // elsa-atomic: monotonic-relaxed — shed counter, summed for monitoring.

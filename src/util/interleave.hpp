@@ -3,8 +3,8 @@
 // tools/lint_rules.cpp — see DESIGN.md §15).
 //
 // The production contract is a single hook, util::sched_point(). Lock-free
-// structures (serve::SpscRing, advisor::SpscRing, serve::StripedCounter)
-// call it immediately before every atomic access. Outside the harness it
+// structures (serve::SpscRing, util::EventCount, serve::StripedCounter,
+// serve::RcuHub) call it immediately before every atomic access. Outside the harness it
 // compiles to an empty inline function — zero code after inlining, so the
 // serve hot path is untouched (the bench guard in ISSUE 8 holds by
 // construction). Under ELSA_INTERLEAVE_HARNESS the hook becomes a yield
@@ -24,12 +24,17 @@
 //     running thread is free, switching away from a still-runnable thread
 //     spends one preemption), ReplayDecider (re-run a recorded trace; the
 //     failure reproducer).
+//   * A virtual thread must never block in the kernel: it would keep the
+//     token and stall every other virtual thread. So the one park on the
+//     data path, util::EventCount::commit_wait, polls its state at
+//     sched_point()s in harness builds until a notify moves it.
 //   * A body that spins forever under a hostile schedule (e.g. a blocking
 //     push whose consumer is never scheduled) is cut off at max_steps: the
 //     engine flips to free-running mode (yields become no-ops, real
 //     concurrency finishes the trial) and the schedule is counted in
 //     Result::diverged. Exhaustive suites should therefore use only
-//     non-blocking operations, whose bodies terminate under every schedule.
+//     non-blocking operations, whose bodies terminate under every schedule
+//     (for a park: EventCount's prepare_wait / signaled split).
 //
 // ODR warning: sched_point() is an inline function whose body differs with
 // ELSA_INTERLEAVE_HARNESS. A binary must be all-harness or all-production:

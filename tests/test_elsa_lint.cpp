@@ -360,7 +360,8 @@ TEST(ElsaLintAtomics, RegistryCoversTheLiveTree) {
   std::vector<std::pair<std::string, std::string>> files;
   for (const char* rel : {"/serve/spsc_ring.hpp", "/serve/fan_in.hpp",
                           "/serve/metrics.hpp", "/serve/sharded_engine.hpp",
-                          "/serve/model_handle.hpp", "/mining/service.hpp"}) {
+                          "/serve/model_handle.hpp", "/mining/service.hpp",
+                          "/util/eventcount.hpp"}) {
     std::ifstream in(std::string(ELSA_SRC_DIR) + rel, std::ios::binary);
     ASSERT_TRUE(in.good()) << rel;
     std::ostringstream ss;
@@ -387,6 +388,7 @@ TEST(ElsaLintAtomics, RegistryCoversTheLiveTree) {
   EXPECT_EQ(protocol_of("elsa::serve::RcuHub::swaps_"), "monotonic-relaxed");
   EXPECT_EQ(protocol_of("elsa::serve::FanIn::stop_"), "release-acquire-flag");
   EXPECT_EQ(protocol_of("elsa::serve::FanIn::dropped_"), "monotonic-relaxed");
+  EXPECT_EQ(protocol_of("elsa::util::EventCount::state_"), "eventcount");
   // Every live field is declared — an empty protocol would mean an
   // atomic-undeclared finding in the gate.
   for (const auto& f : reg) EXPECT_FALSE(f.protocol.empty()) << f.id;
@@ -508,7 +510,8 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
        {"/serve/spsc_ring.hpp", "/serve/router.hpp", "/serve/model_handle.hpp",
         "/serve/metrics.hpp", "/serve/fan_in.hpp", "/advisor/service.cpp",
         "/advisor/advisor.cpp", "/elsa/online.cpp", "/elsa/model_io.cpp",
-        "/mining/miner.cpp", "/mining/service.cpp", "/helo/helo.cpp"}) {
+        "/mining/miner.cpp", "/mining/service.cpp", "/helo/helo.cpp",
+        "/util/eventcount.hpp"}) {
     std::ifstream in(std::string(ELSA_SRC_DIR) + rel, std::ios::binary);
     ASSERT_TRUE(in.good()) << rel;
     std::ostringstream ss;
@@ -525,6 +528,7 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
   };
   EXPECT_EQ(contract_of("elsa::serve::SpscRing::push"), "realtime");
   EXPECT_EQ(contract_of("elsa::serve::SpscRing::pop_n"), "realtime");
+  EXPECT_EQ(contract_of("elsa::serve::SpscRing::pop_wait"), "realtime");
   EXPECT_EQ(contract_of("elsa::serve::RcuHub::pin"), "realtime");
   EXPECT_EQ(contract_of("elsa::serve::RcuHub::unpin"), "realtime");
   EXPECT_EQ(contract_of("elsa::serve::ShardRouter::shard_of"),
@@ -559,6 +563,46 @@ TEST(ElsaLintEffects, RegistryCoversTheLiveTree) {
   const auto reg2 = elsa::lint::effect_registry(mutated);
   for (const auto& f : reg2)
     EXPECT_NE(f.id, "elsa::serve::SpscRing::push") << "annotation survived";
+
+  // The park's allow is load-bearing: the pass follows the ring's blocking
+  // paths through EventCount::await into the futex wait, so deleting the
+  // allow turns the live tree's clean run into a realtime-blocks finding
+  // anchored at the park.
+  EXPECT_TRUE(elsa::lint::lint_effects(files).empty());
+  std::string unparked = raw["src/util/eventcount.hpp"];
+  const std::size_t allow = unparked.find("allow(realtime-blocks)");
+  ASSERT_NE(allow, std::string::npos);
+  unparked.replace(allow, 5, "deny_");
+  std::vector<std::pair<std::string, std::string>> no_allow;
+  for (const auto& [path, contents] : raw)
+    no_allow.emplace_back(path, path == "src/util/eventcount.hpp" ? unparked
+                                                                  : contents);
+  const auto fs = elsa::lint::lint_effects(no_allow);
+  ASSERT_EQ(count_rule(fs, "realtime-blocks"), 1u) << elsa::lint::format(fs);
+  EXPECT_EQ(fs[0].file, "src/util/eventcount.hpp");
+  EXPECT_NE(fs[0].message.find("EventCount::commit_wait"), std::string::npos)
+      << fs[0].message;
+}
+
+TEST(ElsaLintEffects, TemplateMemberFunctionBodiesAreScanned) {
+  // `template <class F>` before a member function names a template
+  // parameter, not a class F: the body still belongs to the function.
+  const std::string code =
+      "#include <vector>\n"
+      "class Tmpl {\n"
+      " public:\n"
+      "  // elsa-realtime: contract.\n"
+      "  template <class F, class G>\n"
+      "  void hot(F f, G) {\n"
+      "    buf_.push_back(f());\n"
+      "  }\n"
+      " private:\n"
+      "  std::vector<int> buf_;\n"
+      "};\n";
+  const auto fs = elsa::lint::lint_effects({{"src/util/tmpl.hpp", code}});
+  ASSERT_EQ(count_rule(fs, "realtime-allocates"), 1u) << elsa::lint::format(fs);
+  EXPECT_NE(fs[0].message.find("Tmpl::hot"), std::string::npos)
+      << fs[0].message;
 }
 
 // ---------------------------------------------------------------------------

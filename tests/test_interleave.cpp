@@ -4,11 +4,13 @@
 // GTest — the structures under test are header-only, which keeps the two
 // sched_point() bodies out of one link (the ODR rule in interleave.hpp).
 //
-// Four ported production protocols (random walk, >= 1000 distinct
-// schedules each at the default rounds) plus bounded-exhaustive runs over
-// the non-blocking protocols, a determinism proof (same seed, same
-// schedule), and the negative control: a deliberately weakened SPSC clone
-// whose cursor-before-payload publication the explorer must catch and
+// Ported production protocols (random walk, >= 1000 distinct schedules
+// each at the default rounds) plus bounded-exhaustive runs over the
+// non-blocking protocols (the EventCount park/notify handshake among
+// them), a determinism proof (same seed, same schedule), and the negative
+// controls: deliberately weakened clones (an SPSC ring publishing its
+// cursor before the payload, an RCU pin loading before it pins, a waiter
+// announcing itself after its re-check) that the explorer must catch and
 // replay.
 //
 // CI scaling knobs (all optional):
@@ -28,6 +30,7 @@
 #include "serve/metrics.hpp"
 #include "serve/model_handle.hpp"
 #include "serve/spsc_ring.hpp"
+#include "util/eventcount.hpp"
 
 namespace {
 
@@ -412,9 +415,62 @@ TEST(InterleaveRcuHub, GraceAndEpochSkewHoldEverywhere) {
   EXPECT_EQ(res.diverged, 0u);  // pin/publish/collect never block
 }
 
+// Port 7: util::EventCount — the park/notify handshake behind every
+// blocking ring wait and the fan-in consumer. One waiter announces itself
+// (prepare_wait), re-checks its condition, then commits (parks) or
+// cancels; one notifier publishes the condition, then notifies. No wakeup
+// may be lost: whenever the waiter commits with the condition unseen, a
+// notify has already moved the state off its key, so the park returns.
+// The bodies stop short of the park itself (exhaustive suites take
+// non-blocking bodies only) and the check asks signaled(key) instead.
+// `announce_after_recheck` seeds the lost-wakeup bug: a notifier scheduled
+// between the re-check and the announcement sees no sleeper and skips.
+
+Setup eventcount_handshake_setup(bool announce_after_recheck) {
+  return [announce_after_recheck](Trial& t) {
+    struct State {
+      elsa::util::EventCount ec;
+      TracedAtomic<bool> published{false};
+      bool committed = false;
+      elsa::util::EventCount::Key key = 0;
+    };
+    auto st = std::make_shared<State>();
+    t.thread([st, announce_after_recheck] {
+      bool ready = false;
+      if (announce_after_recheck) {
+        ready = st->published.load(std::memory_order_acquire);
+        st->key = st->ec.prepare_wait();
+      } else {
+        st->key = st->ec.prepare_wait();
+        ready = st->published.load(std::memory_order_acquire);
+      }
+      st->committed = !ready;
+    });
+    t.thread([st] {
+      st->published.store(true, std::memory_order_release);
+      st->ec.notify_all();
+    });
+    t.check([st]() -> std::string {
+      if (st->committed && !st->ec.signaled(st->key))
+        return "lost wakeup: the waiter parked with the condition unseen "
+               "and no notify moved the state off its key";
+      return "";
+    });
+  };
+}
+
 // ---------------------------------------------------------------------------
 // Bounded-exhaustive enumeration: every schedule within the preemption
 // bound, for the straight-line (guaranteed-terminating) protocols.
+
+TEST(InterleaveExhaustive, EventCountParkNeverLosesAWakeup) {
+  const Result res = explore_exhaustive(eventcount_handshake_setup(false),
+                                        exhaustive_options());
+  EXPECT_CLEAN(res);
+  EXPECT_EQ(res.diverged, 0u);
+  EXPECT_TRUE(res.exhausted) << res.schedules << " schedules";
+  EXPECT_GE(res.schedules, 10u);
+}
 
 TEST(InterleaveExhaustive, AdvisorTapWithinPreemptionBound) {
   const Result res = explore_exhaustive(advisor_tap_setup(),
@@ -665,6 +721,22 @@ TEST(InterleaveNegative, ExplorerCatchesTheLoadBeforePinBug) {
   EXPECT_NE(res.failure.find("reclaimed"), std::string::npos) << res.failure;
 
   const Result again = replay(weak_hub_setup(), res.fail_trace);
+  EXPECT_TRUE(again.failed) << "replay of the failing trace did not fail";
+  EXPECT_EQ(again.failure, res.failure);
+}
+
+// Third negative control: the EventCount waiter that announces itself
+// after its re-check (Port 7's seeded mutant). The exhaustive explorer
+// must find the schedule that loses the wakeup, and the trace must replay.
+TEST(InterleaveNegative, ExplorerCatchesTheAnnounceAfterRecheckBug) {
+  const Result res = explore_exhaustive(eventcount_handshake_setup(true),
+                                        exhaustive_options());
+  ASSERT_TRUE(res.failed) << "seeded lost wakeup escaped " << res.schedules
+                          << " schedules";
+  std::printf("%s\n", res.replay_line().c_str());
+  EXPECT_NE(res.failure.find("lost wakeup"), std::string::npos) << res.failure;
+
+  const Result again = replay(eventcount_handshake_setup(true), res.fail_trace);
   EXPECT_TRUE(again.failed) << "replay of the failing trace did not fail";
   EXPECT_EQ(again.failure, res.failure);
 }

@@ -1,14 +1,19 @@
 // Serving-layer primitives under contention: FIFO and close semantics of
 // the lock-free SpscRing, the serve layer's one queue (wrap around,
-// overflow policies, close-while-full, 1P1C stress), no-loss/no-duplication
-// under producer/consumer hammering, the drop-with-counter overflow policy,
-// the FanIn consumer helper (lossy accounting, close, final sweep,
+// overflow policies, close-while-full, 1P1C stress), wakes of threads
+// parked in its blocking calls, no-loss/no-duplication under
+// producer/consumer hammering, the drop-with-counter overflow policy, the
+// FanIn consumer helper (lossy accounting, close, wakes, final sweep,
 // teardown), and the striped lock-free metrics recorders. This is the file
 // CI additionally runs under ASan/UBSan and ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -20,6 +25,54 @@
 namespace {
 
 using namespace elsa::serve;
+
+// Wake tests hold a thread parked for kParkFor, hundreds of times
+// util::EventCount::kSpinBudget, so that it has stopped spinning and sleeps
+// in the kernel; then they release it and wait for it under kDeadline.
+constexpr auto kParkFor = std::chrono::milliseconds(20);
+constexpr auto kDeadline = std::chrono::seconds(10);
+
+/// Waits up to kDeadline for `result`. A thread still parked by then has
+/// lost its wakeup; it can be neither joined nor safely abandoned, so the
+/// test reports the failure and ends the process rather than hang.
+template <class Future>
+void await_or_exit(const Future& result, const char* what) {
+  if (result.wait_for(kDeadline) == std::future_status::ready) return;
+  std::fprintf(stderr, "lost wakeup: %s\n", what);
+  std::fflush(stderr);
+  std::_Exit(EXIT_FAILURE);
+}
+
+/// Runs `body` on its own thread.
+class TestThread {
+ public:
+  explicit TestThread(std::function<void()> body)
+      : thread_([this, body = std::move(body)] {
+          body();
+          done_.set_value();
+        }) {}
+  ~TestThread() {
+    if (thread_.joinable()) thread_.join();
+  }
+  TestThread(const TestThread&) = delete;
+  TestThread& operator=(const TestThread&) = delete;
+
+  bool returned() const {
+    return returned_.wait_for(std::chrono::seconds(0)) ==
+           std::future_status::ready;
+  }
+
+  /// Joins the thread once its body returned, within kDeadline.
+  void join_within_deadline(const char* what) {
+    await_or_exit(returned_, what);
+    thread_.join();
+  }
+
+ private:
+  std::promise<void> done_;
+  std::future<void> returned_ = done_.get_future();
+  std::thread thread_;
+};
 
 // ---------------------------------------------------------------------------
 // SpscRing: the per-shard ingest lanes, the fan-in rings and the alarm feed.
@@ -91,24 +144,19 @@ TEST(SpscRing, PushEvictDisplacesOldest) {
   EXPECT_EQ(ring.evicted(), 2u);
 }
 
-// close() while a producer is blocked in push() on a full ring: the
+// close() while a producer is parked in push() on a full ring: the
 // producer unblocks with 0 (item not enqueued), queued items stay
 // poppable, and pop_wait reports closed-and-drained.
 TEST(SpscRing, CloseWhileFullUnblocksProducer) {
   SpscRing<int> ring(4);
   for (int i = 0; i < 4; ++i) ASSERT_GT(ring.push(i), 0u);
 
-  std::atomic<bool> blocked_push_returned{false};
-  std::thread producer([&] {
-    EXPECT_EQ(ring.push(99), 0u);  // full -> blocks -> close fails it
-    blocked_push_returned.store(true);
-  });
-  // Give the producer time to actually block on the full ring.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(blocked_push_returned.load());
+  // Full -> parks -> close fails it.
+  TestThread producer([&ring] { EXPECT_EQ(ring.push(99), 0u); });
+  std::this_thread::sleep_for(kParkFor);
+  EXPECT_FALSE(producer.returned());
   ring.close();
-  producer.join();
-  EXPECT_TRUE(blocked_push_returned.load());
+  producer.join_within_deadline("close() left a producer parked");
 
   std::vector<int> out;
   EXPECT_TRUE(ring.pop_wait(out, 64));  // drains the 4 survivors...
@@ -118,16 +166,48 @@ TEST(SpscRing, CloseWhileFullUnblocksProducer) {
   EXPECT_EQ(ring.dropped(), 1u);
 }
 
+// One pop wakes a producer parked in push() on a full ring; its item lands
+// behind the survivors.
+TEST(SpscRing, PopReleasesProducerParkedOnFullRing) {
+  SpscRing<int> ring(4);
+  for (int i = 0; i < 4; ++i) ASSERT_GT(ring.push(i), 0u);
+
+  TestThread producer([&ring] { EXPECT_GT(ring.push(99), 0u); });
+  std::this_thread::sleep_for(kParkFor);
+  EXPECT_FALSE(producer.returned());
+  std::vector<int> out;
+  EXPECT_EQ(ring.pop_n(out, 1), 1u);
+  producer.join_within_deadline("a pop left a producer parked on a full ring");
+
+  ring.close();
+  EXPECT_TRUE(ring.pop_wait(out, 64));
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 99}));
+}
+
+// One push wakes a consumer parked in pop_wait on an empty ring.
+TEST(SpscRing, PushReleasesConsumerParkedOnEmptyRing) {
+  SpscRing<int> ring(2);
+  std::vector<int> got;
+  TestThread consumer([&] { EXPECT_TRUE(ring.pop_wait(got, 8)); });
+  std::this_thread::sleep_for(kParkFor);
+  EXPECT_FALSE(consumer.returned());
+  EXPECT_GT(ring.push(7), 0u);
+  consumer.join_within_deadline("a push left a consumer parked");
+  EXPECT_EQ(got, (std::vector<int>{7}));
+}
+
 // close() wakes a consumer parked in pop_wait on an empty ring: it reports
 // closed-and-drained.
 TEST(SpscRing, CloseUnblocksWaitingConsumer) {
   SpscRing<int> ring(2);
-  std::thread consumer([&] {
+  TestThread consumer([&ring] {
     std::vector<int> out;
     EXPECT_FALSE(ring.pop_wait(out, 8));
   });
+  std::this_thread::sleep_for(kParkFor);
+  EXPECT_FALSE(consumer.returned());
   ring.close();
-  consumer.join();
+  consumer.join_within_deadline("close() left a consumer parked");
 }
 
 // The deployed topology: one producer, one consumer, batched pops. Every
@@ -291,17 +371,30 @@ TEST(FanIn, CloseReleasesBlockedLosslessPublish) {
   IntFanIn fan(1, 2, IntFanIn::Mode::kLossless);
   ASSERT_TRUE(fan.publish(0, 1));
   ASSERT_TRUE(fan.publish(0, 2));
-  std::atomic<bool> returned{false};
-  std::thread producer([&] {
-    EXPECT_FALSE(fan.publish(0, 3));  // full -> blocks -> close fails it
-    returned.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(returned.load());
+  // Full -> parks -> close fails it.
+  TestThread producer([&fan] { EXPECT_FALSE(fan.publish(0, 3)); });
+  std::this_thread::sleep_for(kParkFor);
+  EXPECT_FALSE(producer.returned());
   fan.close();
-  producer.join();
-  EXPECT_TRUE(returned.load());
+  producer.join_within_deadline("close() left a lossless publish parked");
   EXPECT_EQ(fan.dropped(), 0u);  // lossless mode counts nothing
+}
+
+// A consumer parked on an idle fan-in wakes for a newly published item,
+// and, parked again, exits on stop().
+TEST(FanIn, ParkedConsumerWakesForAnItemAndForStop) {
+  IntFanIn fan(2, 4, IntFanIn::Mode::kLossless);
+  std::promise<int> taken;
+  std::future<int> item = taken.get_future();
+  fan.start([&taken](std::size_t, int&& v) { taken.set_value(v); });
+  std::this_thread::sleep_for(kParkFor);
+  ASSERT_TRUE(fan.publish(1, 42));
+  await_or_exit(item, "the parked consumer missed a publish");
+  EXPECT_EQ(item.get(), 42);
+
+  std::this_thread::sleep_for(kParkFor);
+  TestThread stopper([&fan] { fan.stop(); });
+  stopper.join_within_deadline("the parked consumer missed stop()");
 }
 
 // Everything published before stop() reaches take() — in per-shard order,

@@ -68,17 +68,24 @@
 //
 // The --system flag supplies the machine topology (real deployments would
 // read it from the site's configuration database). Each subcommand accepts
-// exactly the flags listed for it, once each and each with a value; anything
-// else prints usage and exits 2.
+// exactly the flags listed for it, once each and each with a value, and a
+// numeric value must be a whole, finite number in the flag's range;
+// anything else prints usage and exits 2.
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include <atomic>
@@ -137,12 +144,13 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+using Flags = std::map<std::string, std::string>;
+
 /// Collects `--name value` pairs. Every name must be one of `known`, given
 /// once and followed by a value.
-std::map<std::string, std::string> parse_flags(
-    int argc, char** argv, int first,
-    const std::vector<std::string_view>& known) {
-  std::map<std::string, std::string> flags;
+Flags parse_flags(int argc, char** argv, int first,
+                  const std::vector<std::string_view>& known) {
+  Flags flags;
   for (int i = first; i < argc; i += 2) {
     const std::string arg = argv[i];
     if (!arg.starts_with("--"))
@@ -154,6 +162,74 @@ std::map<std::string, std::string> parse_flags(
       throw UsageError("repeated flag '" + arg + "'");
   }
   return flags;
+}
+
+/// The value of flag `name`, which the subcommand requires.
+const std::string& required(const Flags& flags, const std::string& name) {
+  const auto it = flags.find(name);
+  if (it == flags.end())
+    throw UsageError("missing required flag '--" + name + "'");
+  return it->second;
+}
+
+/// The value `text` of numeric flag `name` as a T in [lo, hi]. The whole
+/// string must parse, a floating-point value must be finite, and the value
+/// must be representable and in range; anything else is a UsageError that
+/// names the flag.
+template <class T>
+T parse_number(const std::string& name, const std::string& text, T lo,
+               T hi) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  bool ok = !text.empty() && ec == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok || v < lo || v > hi) {
+    std::ostringstream want;
+    want << (std::is_floating_point_v<T> ? "a finite number" : "an integer")
+         << " from " << lo << " to " << hi;
+    throw UsageError("invalid --" + name + " '" + text + "': want " +
+                     want.str());
+  }
+  return v;
+}
+
+/// Numeric flag `name` in [lo, hi], or `fallback` when it is absent.
+template <class T>
+T number(const Flags& flags, const std::string& name, T fallback,
+         T lo = std::numeric_limits<T>::lowest(),
+         T hi = std::numeric_limits<T>::max()) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? fallback
+                           : parse_number(name, it->second, lo, hi);
+}
+
+/// Numeric flag `name` in [lo, hi], which the subcommand requires.
+template <class T>
+T required_number(const Flags& flags, const std::string& name, T lo, T hi) {
+  return parse_number(name, required(flags, name), lo, hi);
+}
+
+/// Campaign and training spans, in days: at least 0.001 (86 s), at most a
+/// century.
+constexpr double kMinDays = 0.001;
+constexpr double kMaxDays = 36500.0;
+/// Shard counts: one worker thread each.
+constexpr std::size_t kMaxShards = 1024;
+
+/// A 0/1 switch such as --check or --shed.
+bool switch_on(const Flags& flags, const std::string& name) {
+  return number<int>(flags, name, 0, 0, 1) != 0;
+}
+
+std::size_t shards_flag(const Flags& flags, std::size_t fallback) {
+  return number<std::size_t>(flags, "shards", fallback, 1, kMaxShards);
+}
+
+/// Replay speed: trace-seconds per wall-second, 0 = as fast as possible.
+double speedup_flag(const Flags& flags) {
+  return number<double>(flags, "speedup", serve::ReplayOptions{}.speedup,
+                        0.0, 1e9);
 }
 
 topo::Topology topology_for(const std::string& system) {
@@ -187,29 +263,30 @@ simlog::Trace trace_from_log(const std::string& path,
   return trace;
 }
 
-int cmd_generate(const std::map<std::string, std::string>& flags) {
-  const auto system = flags.at("system");
-  const double days = std::stod(flags.at("days"));
-  const std::uint64_t seed =
-      flags.count("seed") ? std::stoull(flags.at("seed")) : 2012;
+int cmd_generate(const Flags& flags) {
+  const auto& system = required(flags, "system");
+  const double days = required_number(flags, "days", kMinDays, kMaxDays);
+  const auto seed = number<std::uint64_t>(flags, "seed", 2012);
+  const auto& out = required(flags, "out");
   auto scenario = system == "mercury"
                       ? simlog::make_mercury_scenario(seed, days)
                       : simlog::make_bluegene_scenario(seed, days);
   const auto trace = scenario.generator.generate(scenario.config);
-  simlog::write_ras_log_file(flags.at("out"), trace.records, trace.topology);
+  simlog::write_ras_log_file(out, trace.records, trace.topology);
   std::cout << "wrote " << trace.records.size() << " records ("
-            << trace.faults.size() << " injected failures) to "
-            << flags.at("out") << "\n";
+            << trace.faults.size() << " injected failures) to " << out
+            << "\n";
   return 0;
 }
 
-int cmd_train(const std::map<std::string, std::string>& flags) {
-  const auto trace = trace_from_log(flags.at("log"), flags.at("system"));
+int cmd_train(const Flags& flags) {
+  const auto& out = required(flags, "out");
+  const auto trace =
+      trace_from_log(required(flags, "log"), required(flags, "system"));
   const double span_days =
       static_cast<double>(trace.t_end_ms - trace.t_begin_ms) / 86'400'000.0;
-  const double train_days = flags.count("train-days")
-                                ? std::stod(flags.at("train-days"))
-                                : span_days;
+  const double train_days =
+      number(flags, "train-days", span_days, kMinDays, kMaxDays);
   const auto method = method_for(
       flags.count("method") ? flags.at("method") : std::string{});
 
@@ -218,20 +295,20 @@ int cmd_train(const std::map<std::string, std::string>& flags) {
       trace.t_begin_ms +
       static_cast<std::int64_t>(train_days * 86'400'000.0);
   const auto model = core::train_offline(trace, train_end, method, cfg);
-  core::save_model_file(flags.at("out"), model);
+  core::save_model_file(out, model);
 
   std::size_t predictive = 0;
   for (const auto& c : model.chains) predictive += c.predictive();
   std::cout << core::to_string(method) << " model trained on "
             << util::format_double(train_days, 1) << " days: "
             << model.helo.size() << " event types, " << model.chains.size()
-            << " chains (" << predictive << " predictive) -> "
-            << flags.at("out") << "\n";
+            << " chains (" << predictive << " predictive) -> " << out
+            << "\n";
   return 0;
 }
 
-int cmd_inspect(const std::map<std::string, std::string>& flags) {
-  const auto model = core::load_model_file(flags.at("model"));
+int cmd_inspect(const Flags& flags) {
+  const auto model = core::load_model_file(required(flags, "model"));
   std::cout << "model: " << core::to_string(model.method) << ", trained over "
             << util::human_duration(
                    static_cast<double>(model.train_end_ms -
@@ -260,11 +337,11 @@ int cmd_inspect(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_predict(const std::map<std::string, std::string>& flags) {
-  const auto trace = trace_from_log(flags.at("log"), flags.at("system"));
-  auto model = core::load_model_file(flags.at("model"));
-  const std::size_t max_alarms =
-      flags.count("max-alarms") ? std::stoul(flags.at("max-alarms")) : 50;
+int cmd_predict(const Flags& flags) {
+  const auto trace =
+      trace_from_log(required(flags, "log"), required(flags, "system"));
+  auto model = core::load_model_file(required(flags, "model"));
+  const auto max_alarms = number<std::size_t>(flags, "max-alarms", 50);
 
   core::PipelineConfig cfg;
   core::EngineConfig ec = cfg.engine;
@@ -296,22 +373,21 @@ int cmd_predict(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int cmd_serve(const std::map<std::string, std::string>& flags) {
-  const auto trace = trace_from_log(flags.at("log"), flags.at("system"));
-  const auto model = core::load_model_file(flags.at("model"));
-  const std::size_t max_alarms =
-      flags.count("max-alarms") ? std::stoul(flags.at("max-alarms")) : 50;
+int cmd_serve(const Flags& flags) {
+  const auto trace =
+      trace_from_log(required(flags, "log"), required(flags, "system"));
+  const auto model = core::load_model_file(required(flags, "model"));
+  const auto max_alarms = number<std::size_t>(flags, "max-alarms", 50);
 
   serve::ServiceConfig scfg;  // zero-cost model: latency is measured, not simulated
-  if (flags.count("shards")) scfg.shards = std::stoul(flags.at("shards"));
-  if (flags.count("shed") && flags.at("shed") != "0")
-    scfg.overflow = serve::OverflowPolicy::kShed;
+  scfg.shards = shards_flag(flags, scfg.shards);
+  if (switch_on(flags, "shed")) scfg.overflow = serve::OverflowPolicy::kShed;
   scfg.engine.use_location = model.method != core::Method::DataMining;
   scfg.engine.raw_event_matching = model.method == core::Method::DataMining;
   serve::PredictionService service(trace.topology, model, scfg);
 
   serve::ReplayOptions ro;
-  if (flags.count("speedup")) ro.speedup = std::stod(flags.at("speedup"));
+  ro.speedup = speedup_flag(flags);
   const serve::TraceReplayer replayer(trace, ro);
 
   // Feed from a producer thread; stream alarms from this one.
@@ -360,16 +436,16 @@ serve::OverflowPolicy policy_for(const std::string& name) {
                            "' (want block, drop-oldest or shed)");
 }
 
-int cmd_chaos(const std::map<std::string, std::string>& flags) {
-  const auto trace = trace_from_log(flags.at("log"), flags.at("system"));
-  const auto model = core::load_model_file(flags.at("model"));
-  const std::uint64_t seed =
-      flags.count("seed") ? std::stoull(flags.at("seed")) : 42;
+int cmd_chaos(const Flags& flags) {
+  const auto trace =
+      trace_from_log(required(flags, "log"), required(flags, "system"));
+  const auto model = core::load_model_file(required(flags, "model"));
+  const auto seed = number<std::uint64_t>(flags, "seed", 42);
   const auto plan = faultinject::FaultPlan::parse(
       flags.count("plan") ? flags.at("plan") : std::string("all"), seed);
 
   serve::ServiceConfig scfg;
-  if (flags.count("shards")) scfg.shards = std::stoul(flags.at("shards"));
+  scfg.shards = shards_flag(flags, scfg.shards);
   scfg.engine.use_location = model.method != core::Method::DataMining;
   scfg.engine.raw_event_matching = model.method == core::Method::DataMining;
   scfg.overflow =
@@ -382,7 +458,7 @@ int cmd_chaos(const std::map<std::string, std::string>& flags) {
   serve::PredictionService service(trace.topology, model, scfg);
 
   serve::ReplayOptions ro;
-  if (flags.count("speedup")) ro.speedup = std::stod(flags.at("speedup"));
+  ro.speedup = speedup_flag(flags);
   // Under the shed policy the bounded retry exercises the full degradation
   // surface; block/drop-oldest never refuse, so they never retry.
   ro.max_retries = 3;
@@ -428,7 +504,8 @@ std::vector<std::size_t> parse_shard_list(const std::string& s) {
   while (pos < s.size()) {
     std::size_t comma = s.find(',', pos);
     if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::stoul(s.substr(pos, comma - pos)));
+    out.push_back(parse_number<std::size_t>(
+        "shards", s.substr(pos, comma - pos), 1, kMaxShards));
     pos = comma + 1;
   }
   if (out.empty()) throw std::runtime_error("empty --shards list");
@@ -467,15 +544,13 @@ bool predictions_equal(const std::vector<core::Prediction>& a,
   return true;
 }
 
-int cmd_mine(const std::map<std::string, std::string>& flags) {
-  const auto system = flags.at("system");
-  const double days = std::stod(flags.at("days"));
-  const std::uint64_t seed =
-      flags.count("seed") ? std::stoull(flags.at("seed")) : 2012;
-  const bool check = flags.count("check") && flags.at("check") != "0";
-  const std::size_t publish_every =
-      flags.count("publish-every") ? std::stoul(flags.at("publish-every"))
-                                   : 2048;
+int cmd_mine(const Flags& flags) {
+  const auto& system = required(flags, "system");
+  const double days = required_number(flags, "days", kMinDays, kMaxDays);
+  const auto seed = number<std::uint64_t>(flags, "seed", 2012);
+  const bool check = switch_on(flags, "check");
+  const auto publish_every = number<std::size_t>(flags, "publish-every", 2048);
+  const auto chaos_seed = number<std::uint64_t>(flags, "chaos-seed", 42);
   const auto shard_list =
       flags.count("shards") ? parse_shard_list(flags.at("shards"))
                             : std::vector<std::size_t>{1, 2, 4, 8};
@@ -545,8 +620,6 @@ int cmd_mine(const std::map<std::string, std::string>& flags) {
   }
 
   if (flags.count("plan") && flags.at("plan") != "none") {
-    const std::uint64_t chaos_seed =
-        flags.count("chaos-seed") ? std::stoull(flags.at("chaos-seed")) : 42;
     const auto plan =
         faultinject::FaultPlan::parse(flags.at("plan"), chaos_seed);
     for (const auto& spec : plan.specs())
@@ -613,25 +686,23 @@ double interval_at(const advisor::AdvisorConfig& ad, double C,
   return advisor::interval_for_cost(ad, C, mttf_min);
 }
 
-int cmd_advise(const std::map<std::string, std::string>& flags) {
-  const auto system = flags.at("system");
-  const double days = std::stod(flags.at("days"));
-  const std::uint64_t seed =
-      flags.count("seed") ? std::stoull(flags.at("seed")) : 2012;
-  const std::uint64_t chaos_seed =
-      flags.count("chaos-seed") ? std::stoull(flags.at("chaos-seed")) : 42;
+int cmd_advise(const Flags& flags) {
+  const auto& system = required(flags, "system");
+  const double days = required_number(flags, "days", kMinDays, kMaxDays);
+  const auto seed = number<std::uint64_t>(flags, "seed", 2012);
+  const auto chaos_seed = number<std::uint64_t>(flags, "chaos-seed", 42);
+  const bool check = switch_on(flags, "check");
   auto scenario = system == "mercury"
                       ? simlog::make_mercury_scenario(seed, days)
                       : simlog::make_bluegene_scenario(seed, days);
   const auto trace = scenario.generator.generate(scenario.config);
-  const auto model = core::load_model_file(flags.at("model"));
+  const auto model = core::load_model_file(required(flags, "model"));
   const auto plan = faultinject::FaultPlan::parse(
       flags.count("plan") ? flags.at("plan") : std::string("none"),
       chaos_seed);
 
   advisor::AdvisorServiceConfig acfg;
-  if (flags.count("shards"))
-    acfg.serve.shards = std::stoul(flags.at("shards"));
+  acfg.serve.shards = shards_flag(flags, acfg.serve.shards);
   acfg.serve.engine.use_location = model.method != core::Method::DataMining;
   acfg.serve.engine.raw_event_matching =
       model.method == core::Method::DataMining;
@@ -642,18 +713,20 @@ int cmd_advise(const std::map<std::string, std::string>& flags) {
   acfg.serve.watchdog_deadline_ms = 250;
   acfg.serve.faults = &plan;
   advisor::AdvisorConfig& ad = acfg.advisor;
-  if (flags.count("precision")) ad.precision = std::stod(flags.at("precision"));
-  if (flags.count("recall")) ad.recall = std::stod(flags.at("recall"));
-  if (flags.count("gap-alpha")) ad.gap_alpha = std::stod(flags.at("gap-alpha"));
-  if (flags.count("confidence"))
-    ad.directive_confidence = std::stod(flags.at("confidence"));
-  if (flags.count("hysteresis"))
-    ad.mttf_hysteresis = std::stod(flags.at("hysteresis"));
-  if (flags.count("interval-recall"))
-    ad.interval_recall = std::stod(flags.at("interval-recall"));
+  // Probabilities in [0, 1]; the two knobs whose negative values select a
+  // documented fallback (AdvisorConfig) take [-1, 1].
+  ad.precision = number(flags, "precision", ad.precision, 0.0, 1.0);
+  ad.recall = number(flags, "recall", ad.recall, 0.0, 1.0);
+  ad.gap_alpha = number(flags, "gap-alpha", ad.gap_alpha, -1.0, 1.0);
+  ad.directive_confidence =
+      number(flags, "confidence", ad.directive_confidence, 0.0, 1.0);
+  ad.mttf_hysteresis =
+      number(flags, "hysteresis", ad.mttf_hysteresis, 0.0, 100.0);
+  ad.interval_recall =
+      number(flags, "interval-recall", ad.interval_recall, -1.0, 1.0);
 
   serve::ReplayOptions ro;
-  if (flags.count("speedup")) ro.speedup = std::stod(flags.at("speedup"));
+  ro.speedup = speedup_flag(flags);
   ro.max_retries = 3;
 
   // -- calibration pass: alarm episodes per failure on the training window
@@ -692,7 +765,8 @@ int cmd_advise(const std::map<std::string, std::string>& flags) {
                 << ad.episodes_per_failure << "\n";
     }
   } else {
-    ad.episodes_per_failure = std::stod(flags.at("episodes-per-failure"));
+    ad.episodes_per_failure =
+        required_number(flags, "episodes-per-failure", 0.0, 1e6);
   }
 
   advisor::AdvisorService svc(trace.topology, model, acfg);
@@ -842,7 +916,7 @@ int cmd_advise(const std::map<std::string, std::string>& flags) {
   std::cout << "); directives " << m.directives << " (hits " << sched.hits
             << ", misses " << sched.misses << ")\n";
 
-  if (flags.count("check") && flags.at("check") != "0" && !adaptive_wins) {
+  if (check && !adaptive_wins) {
     std::cerr << "FAIL: adaptive schedule did not beat the static baseline "
                  "at every cost point\n";
     return 1;
@@ -886,9 +960,6 @@ int main(int argc, char** argv) {
     return it->run(parse_flags(argc, argv, 2, it->flags));
   } catch (const UsageError& e) {
     std::cerr << "error: " << e.what() << "\n";
-    return usage();
-  } catch (const std::out_of_range&) {
-    std::cerr << "missing required flag for '" << cmd << "'\n";
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -611,8 +611,12 @@ class ScopeWalker {
     for (std::size_t i = lo; i < open; ++i) {
       const Tok& tk = t_[i];
       if (tk.ident && tk.text == "namespace") has_namespace = true;
+      // `class`/`struct` after `<` or `,` names a template parameter
+      // (`template <class F> void run(F f) {` is a function, not class F).
       if (tk.ident && (tk.text == "class" || tk.text == "struct") &&
           (i == lo || !(t_[i - 1].ident && t_[i - 1].text == "enum")) &&
+          (i == lo || t_[i - 1].ident ||
+           (t_[i - 1].text != "<" && t_[i - 1].text != ",")) &&
           i + 1 < open && t_[i + 1].ident) {
         // The name may be pushed right by an alignas-specifier:
         // `struct alignas(64) Cell {`.
@@ -2257,7 +2261,7 @@ std::vector<Finding> lint_lock_graph(
 const std::vector<std::string>& atomic_protocols() {
   static const std::vector<std::string> protos = {
       "seqlock", "spsc-seq", "release-acquire-flag", "striped-relaxed-counter",
-      "monotonic-relaxed", "rcu-handle"};
+      "monotonic-relaxed", "rcu-handle", "eventcount"};
   return protos;
 }
 
@@ -2356,7 +2360,8 @@ std::vector<Finding> lint_atomics(
     const auto decl_it = decl_by_id.find(id);
     if (decl_it != decl_by_id.end() &&
         (decl_it->second->protocol == "release-acquire-flag" ||
-         decl_it->second->protocol == "spsc-seq")) {
+         decl_it->second->protocol == "spsc-seq" ||
+         decl_it->second->protocol == "eventcount")) {
       for (const AtomicAccess* a : accesses) {
         if (a->kind != AtomicAccess::kRmw && a->kind != AtomicAccess::kCas)
           continue;

@@ -39,16 +39,17 @@
 //                              "// elsa-atomic: <protocol>" declaration
 //                              naming one of: seqlock, spsc-seq,
 //                              release-acquire-flag,
-//                              striped-relaxed-counter, monotonic-relaxed
+//                              striped-relaxed-counter, monotonic-relaxed,
+//                              rcu-handle, eventcount
 //                              (taxonomy: DESIGN.md §15).
 //   acquire-release-unpaired — a release store of a field with no
 //                              acquire/seq_cst load of it anywhere in the
 //                              project (nothing consumes the
 //                              publication), and vice versa.
 //   rmw-order-too-weak       — a fully relaxed CAS/fetch on a field
-//                              declared release-acquire-flag or spsc-seq
-//                              (hand-off protocols need ordering on the
-//                              mutating side).
+//                              declared release-acquire-flag, spsc-seq or
+//                              eventcount (hand-off protocols need
+//                              ordering on the mutating side).
 //   fence-undocumented       — a bare std::atomic_thread_fence; fences
 //                              order *all* surrounding accesses and
 //                              defeat per-field protocol reasoning.
