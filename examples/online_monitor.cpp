@@ -2,8 +2,9 @@
 // describes. An offline phase learns the model; the online phase then
 // consumes records one at a time — exactly as a syslog tap would deliver
 // them — and prints alarms as they are issued, with locations and
-// deadlines. Also demonstrates the adaptive-update extension: halfway
-// through, the model is re-mined over the trailing window and merged.
+// deadlines. The model stays frozen here; `elsa mine` shows the live
+// update loop (the online miner publishing fresh models into the serving
+// engines).
 //
 //   ./build/examples/online_monitor [duration_days] [seed]
 
@@ -12,7 +13,6 @@
 
 #include "elsa/online.hpp"
 #include "elsa/pipeline.hpp"
-#include "elsa/updater.hpp"
 #include "simlog/scenario.hpp"
 #include "util/ascii.hpp"
 #include "util/strings.hpp"
@@ -45,29 +45,10 @@ int main(int argc, char** argv) {
   core::OnlineEngine engine(trace.topology, model.chains, model.profiles, ec);
 
   // Stream the test period; print alarms as they appear.
-  const std::int64_t update_at =
-      train_end + (trace.t_end_ms - train_end) / 2;
-  bool updated = false;
   std::size_t printed = 0, seen = 0;
 
   for (const auto& rec : trace.records) {
     if (rec.time_ms < train_end) continue;
-
-    if (!updated && rec.time_ms >= update_at) {
-      // Adaptive update (paper §III.C future work): re-mine the trailing
-      // window, merge into the live chain set.
-      core::UpdateStats st =
-          core::update_model(model, trace, train_end, update_at, cfg);
-      std::cout << "[" << util::human_duration(
-                       static_cast<double>(rec.time_ms) / 1000.0)
-                << "] adaptive update: " << st.refreshed << " refreshed, "
-                << st.added << " added, " << st.decayed << " decayed, "
-                << st.retired << " retired\n";
-      updated = true;
-      // A production deployment would swap the engine's chain set here; the
-      // engine keeps running with its current set in this walkthrough.
-    }
-
     const auto tid = model.helo.classify(rec.message);
     engine.feed(rec, tid);
 

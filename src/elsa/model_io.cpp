@@ -1,8 +1,10 @@
 #include "elsa/model_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace elsa::core {
 
@@ -13,6 +15,35 @@ void expect(std::istream& is, const std::string& keyword) {
   if (!(is >> word) || word != keyword)
     throw std::runtime_error("load_model: expected '" + keyword + "', got '" +
                              word + "'");
+}
+
+/// A section held fewer rows, tokens or items than its count promised.
+/// Sections grow one parsed row at a time, so a count the file does not
+/// back fails here instead of sizing an allocation.
+[[noreturn]] void ends_early(const char* section) {
+  throw std::runtime_error(std::string("load_model: ") + section +
+                           " section ends early");
+}
+
+void expect_row(std::istream& is, const char* marker, const char* section) {
+  std::string word;
+  if (!(is >> word) || word != marker) ends_early(section);
+}
+
+/// One "signal:delay" chain item; each field must be a whole number in
+/// range.
+ChainItem parse_chain_item(const std::string& pair) {
+  ChainItem item;
+  const char* end = pair.data() + pair.size();
+  const auto sig = std::from_chars(pair.data(), end, item.signal);
+  if (sig.ec != std::errc() || sig.ptr == end || *sig.ptr != ':')
+    throw std::runtime_error("load_model: bad chain item signal in '" + pair +
+                             "'");
+  const auto del = std::from_chars(sig.ptr + 1, end, item.delay);
+  if (del.ec != std::errc() || del.ptr != end)
+    throw std::runtime_error("load_model: bad chain item delay in '" + pair +
+                             "'");
+  return item;
 }
 
 }  // namespace
@@ -83,46 +114,51 @@ OfflineModel load_model(std::istream& is) {
   expect(is, "templates");
   std::size_t n = 0;
   is >> n;
-  std::vector<helo::Template> templates(n);
+  std::vector<helo::Template> templates;
   for (std::size_t i = 0; i < n; ++i) {
-    expect(is, "T");
+    expect_row(is, "T", "templates");
+    helo::Template t;
     std::size_t tokens = 0;
-    is >> templates[i].count >> tokens;
-    templates[i].tokens.resize(tokens);
-    for (auto& tok : templates[i].tokens) is >> tok;
+    is >> t.count >> tokens;
+    for (std::size_t k = 0; k < tokens; ++k) {
+      std::string tok;
+      if (!(is >> tok)) ends_early("templates");
+      t.tokens.push_back(std::move(tok));
+    }
+    templates.push_back(std::move(t));
   }
   if (!is) throw std::runtime_error("load_model: truncated template section");
   model.helo = helo::TemplateMiner::from_templates(std::move(templates));
 
   expect(is, "profiles");
   is >> n;
-  model.profiles.resize(n);
-  for (auto& p : model.profiles) {
-    expect(is, "P");
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_row(is, "P", "profiles");
+    SignalProfile p;
     int cls = 0;
     is >> cls >> p.median >> p.mad >> p.spike_delta >> p.dropout_window >>
         p.dropout_min_count >> p.period >> p.mean;
     if (cls < 0 || cls > 2)
       throw std::runtime_error("load_model: bad signal class");
     p.cls = static_cast<sigkit::SignalClass>(cls);
+    model.profiles.push_back(p);
   }
 
   expect(is, "severities");
   is >> n;
   expect(is, "S");
-  model.tmpl_severity.resize(n);
-  for (auto& s : model.tmpl_severity) {
+  for (std::size_t i = 0; i < n; ++i) {
     int v = 0;
-    is >> v;
+    if (!(is >> v)) ends_early("severities");
     if (v < 0 || v > 4) throw std::runtime_error("load_model: bad severity");
-    s = static_cast<simlog::Severity>(v);
+    model.tmpl_severity.push_back(static_cast<simlog::Severity>(v));
   }
 
   expect(is, "chains");
   is >> n;
-  model.chains.resize(n);
-  for (auto& c : model.chains) {
-    expect(is, "C");
+  for (std::size_t i = 0; i < n; ++i) {
+    expect_row(is, "C", "chains");
+    Chain c;
     std::size_t items = 0;
     int scope = 0;
     is >> items >> c.support >> c.confidence >> c.significance >>
@@ -132,19 +168,19 @@ OfflineModel load_model(std::istream& is) {
     if (scope < 0 || scope > 5)
       throw std::runtime_error("load_model: bad scope");
     c.location.scope = static_cast<topo::Scope>(scope);
-    c.items.resize(items);
-    for (auto& item : c.items) {
+    for (std::size_t k = 0; k < items; ++k) {
       std::string pair;
-      is >> pair;
-      const auto colon = pair.find(':');
-      if (colon == std::string::npos)
-        throw std::runtime_error("load_model: bad chain item '" + pair + "'");
-      item.signal =
-          static_cast<std::uint32_t>(std::stoul(pair.substr(0, colon)));
-      item.delay = std::stoi(pair.substr(colon + 1));
+      if (!(is >> pair)) ends_early("chains");
+      const ChainItem item = parse_chain_item(pair);
       if (item.signal >= model.helo.size())
         throw std::runtime_error("load_model: chain references unknown template");
+      c.items.push_back(item);
     }
+    // The engine and Chain::lead() index items by failure_item.
+    if (c.failure_item < -1 ||
+        c.failure_item >= static_cast<std::int32_t>(c.items.size()))
+      throw std::runtime_error("load_model: chain failure item out of range");
+    model.chains.push_back(std::move(c));
   }
   expect(is, "end");
   if (!is) throw std::runtime_error("load_model: truncated file");

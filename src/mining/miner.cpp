@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "elsa/grite.hpp"
 #include "elsa/model_io.hpp"
@@ -263,15 +264,19 @@ void OnlineMiner::load_state(std::istream& is) {
   if (!(is >> word >> folded) || word != "folded") fail("bad folded");
   if (!(is >> word >> first) || word != "first") fail("bad first");
   if (!(is >> word >> last) || word != "last") fail("bad last");
+  // Every section grows one parsed row at a time: a count the file does
+  // not back fails at its first missing row instead of sizing anything.
   std::size_t n = 0;
   if (!(is >> word >> n) || word != "templates") fail("bad templates");
-  std::vector<TemplateStat> tstats(n);
-  for (TemplateStat& t : tstats) {
+  std::vector<TemplateStat> tstats;
+  for (std::size_t i = 0; i < n; ++i) {
+    TemplateStat t;
     std::uint64_t cnt = 0;
     if (!(is >> word >> cnt >> t.last) || word != "t") fail("bad template row");
     t.count = bits_double(cnt);
     for (std::size_t s = 0; s < 5; ++s)
       if (!(is >> t.sev[s])) fail("bad severity row");
+    tstats.push_back(t);
   }
   if (!(is >> word >> n) || word != "recent") fail("bad recent");
   std::deque<Recent> recent;
@@ -279,11 +284,14 @@ void OnlineMiner::load_state(std::istream& is) {
     Recent r{};
     if (!(is >> word >> r.time_ms >> r.tmpl) || word != "r")
       fail("bad recent row");
+    // fold() sizes the template table before it records an event, so a
+    // saved state never names a template past it; build_model indexes by
+    // these ids.
+    if (r.tmpl >= tstats.size()) fail("recent row names an unknown template");
     recent.push_back(r);
   }
   if (!(is >> word >> n) || word != "pairs") fail("bad pairs");
-  std::unordered_map<std::uint64_t, PairStat> pairs;
-  pairs.reserve(n);
+  std::vector<std::pair<std::uint64_t, PairStat>> rows;
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t key = 0, cnt = 0, dsum = 0;
     PairStat p;
@@ -291,8 +299,14 @@ void OnlineMiner::load_state(std::istream& is) {
       fail("bad pair row");
     p.count = bits_double(cnt);
     p.delay_sum = bits_double(dsum);
-    pairs.emplace(key, p);
+    if ((key >> 32) >= tstats.size() ||
+        static_cast<std::uint32_t>(key) >= tstats.size())
+      fail("pair row names an unknown template");
+    rows.emplace_back(key, p);
   }
+  std::unordered_map<std::uint64_t, PairStat> pairs;
+  pairs.reserve(rows.size());
+  pairs.insert(rows.begin(), rows.end());
   if (!(is >> word) || word != "end") fail("missing trailer");
 
   folded_ = folded;

@@ -13,28 +13,12 @@ PredictionService::PredictionService(const topo::Topology& topo,
       unknown_tmpl_(static_cast<std::uint32_t>(
           std::max(model.helo.size(), model.profiles.size()))),
       total_nodes_(topo.total_nodes()),
-      overflow_(cfg.overflow),
-      validate_(cfg.validate) {
-  ShardOptions so;
-  so.shards = std::max<std::size_t>(1, cfg.shards);
-  so.batch = std::max<std::size_t>(1, cfg.batch);
-  // Split the configured total ingest capacity across the shard rings.
-  // Floor of two batches per shard: a ring smaller than one pop quantum
-  // would make backpressure oscillate instead of smoothing bursts.
-  so.queue_capacity = std::max({cfg.ingest_capacity / so.shards,
-                                2 * so.batch, std::size_t{2}});
-  so.watchdog_interval_ms = cfg.watchdog_interval_ms;
-  so.watchdog_deadline_ms = cfg.watchdog_deadline_ms;
-  so.pin_workers = cfg.pin_workers;
-  so.faults = cfg.faults;
-  so.clock = cfg.clock;
-  so.taps.push_back(&alarms_);
-  if (cfg.tap) so.taps.push_back(cfg.tap);
-  so.hub = cfg.hub;
-  so.event_tap = cfg.event_tap;
-  sharded_ = std::make_unique<ShardedEngine>(
-      topo, model.chains, model.profiles, cfg.engine, std::move(so),
-      &metrics_);
+      overflow_(cfg.overflow) {
+  std::vector<Tap<core::Prediction>*> taps{&alarms_};
+  if (cfg.tap) taps.push_back(cfg.tap);
+  sharded_ = std::make_unique<ShardedEngine>(topo, model.chains,
+                                             model.profiles, std::move(cfg),
+                                             std::move(taps), &metrics_);
 }
 
 PredictionService::~PredictionService() = default;
@@ -55,7 +39,7 @@ bool PredictionService::valid(const simlog::LogRecord& rec) const {
 
 SubmitResult PredictionService::submit_result(const simlog::LogRecord& rec,
                                               bool blocking) {
-  if (validate_ && !valid(rec)) {
+  if (!valid(rec)) {
     metrics_.on_submit();
     metrics_.on_quarantine();
     {
@@ -117,10 +101,6 @@ SubmitResult PredictionService::submit_result(const simlog::LogRecord& rec,
 
 bool PredictionService::submit(const simlog::LogRecord& rec) {
   return submit_result(rec, /*blocking=*/true) != SubmitResult::kClosed;
-}
-
-bool PredictionService::try_submit(const simlog::LogRecord& rec) {
-  return submit_result(rec, /*blocking=*/false) == SubmitResult::kQueued;
 }
 
 std::vector<simlog::LogRecord> PredictionService::quarantined_sample() const {

@@ -36,15 +36,6 @@
 
 namespace elsa::serve {
 
-/// What a blocking submit does when the target shard's ring is full.
-/// try_submit always sheds (that is its contract); submit consults this
-/// policy.
-enum class OverflowPolicy : std::uint8_t {
-  kBlock,       ///< wait for space (backpressure onto the producer)
-  kDropOldest,  ///< evict the oldest queued record to admit the new one
-  kShed,        ///< refuse the new record, counted in metrics
-};
-
 /// Fate of one submit attempt. Conservation: every attempt except kClosed
 /// increments `ingested` and exactly one of the queued/quarantined/shed
 /// legs; kClosed attempts are invisible to the metrics.
@@ -53,62 +44,6 @@ enum class SubmitResult : std::uint8_t {
   kQuarantined,  ///< malformed record set aside (validator rejected it)
   kShed,         ///< lost to overflow under kShed / non-blocking submit
   kClosed,       ///< service already finished; nothing counted
-};
-
-struct ServiceConfig {
-  std::size_t shards = 4;
-  /// Total ingest capacity, in records, split evenly across the per-shard
-  /// rings (each shard gets at least two batches' worth, and the ring
-  /// rounds its share up to a power of two).
-  std::size_t ingest_capacity = 8192;
-  /// Most records a shard worker drains from its ring in one batched pop.
-  std::size_t batch = 64;
-  /// What submit() does on a full shard ring (try_submit always sheds).
-  OverflowPolicy overflow = OverflowPolicy::kBlock;
-  /// Reject malformed records (node id outside the topology, negative
-  /// timestamp) into quarantine instead of feeding them to the engines.
-  /// The serving default; chaos tests rely on it to survive kCorrupt.
-  bool validate = true;
-  /// Watchdog scan interval for the sharded engine; 0 disables it.
-  std::int64_t watchdog_interval_ms = 100;
-  /// No-progress deadline before a shard counts as unhealthy.
-  std::int64_t watchdog_deadline_ms = 2000;
-  /// Pin each shard worker to one CPU (best-effort, Linux only; see
-  /// ShardOptions::pin_workers).
-  bool pin_workers = false;
-  /// Injected serve-side faults (stall / worker kill); null = none. Must
-  /// outlive the service.
-  const faultinject::FaultPlan* faults = nullptr;
-  /// Watchdog time source override (tests / chaos); null = real time.
-  const faultinject::FaultClock* clock = nullptr;
-  /// Wait-free per-shard prediction observer (serve/tap.hpp), handed to
-  /// the sharded engine after the service's own alarm feed; null = none.
-  /// The checkpoint advisor (src/advisor) registers through this. Must
-  /// outlive the service.
-  Tap<core::Prediction>* tap = nullptr;
-  /// Incremental HELO classifier (see helo.hpp). Null = the offline
-  /// model's frozen classifier (classify_const). When set, submits
-  /// classify through its *mutating* path, so unseen message shapes learn
-  /// fresh template ids on the fly instead of collapsing onto the one
-  /// reserved "unknown" id. The mutating classifier is not internally
-  /// synchronized: all submits must come from ONE producer thread (the
-  /// replayer/`elsa mine` contract). Must outlive the service.
-  helo::TemplateMiner* live_classifier = nullptr;
-  /// Live rule-model hub handed down to the sharded engine (see
-  /// serve/model_handle.hpp); null = serve the construction-time model
-  /// forever. Must outlive the service.
-  ModelHub* hub = nullptr;
-  /// Classified-event observer handed down to the sharded engine (the
-  /// incremental miner's intake; see serve/tap.hpp); null = none. Must
-  /// outlive the service.
-  EventTap* event_tap = nullptr;
-  core::EngineConfig engine;
-
-  /// Zeroes the engine's simulated analysis-cost model: the serving layer
-  /// measures real latency instead of simulating 2012 hardware, and a
-  /// zero-cost model is what makes sharded output identical to a
-  /// single-engine run (per-shard simulated queues would diverge).
-  ServiceConfig() { engine.cost = core::AnalysisCostModel{0.0, 0.0, 0.0}; }
 };
 
 class PredictionService {
@@ -127,14 +62,9 @@ class PredictionService {
   /// Thread-safe. False once the service is finished.
   bool submit(const simlog::LogRecord& rec);
 
-  /// Classify, route and enqueue one record; sheds it (counted in the
-  /// metrics) when its shard's ring is full. Thread-safe. False if shed,
-  /// quarantined or finished.
-  bool try_submit(const simlog::LogRecord& rec);
-
   /// Full-fidelity submit: says *which* fate the record met. `blocking`
-  /// selects between submit()'s policy path and try_submit()'s shed path.
-  /// Thread-safe.
+  /// selects submit()'s policy path; non-blocking always sheds a record
+  /// whose shard ring is full. Thread-safe.
   SubmitResult submit_result(const simlog::LogRecord& rec, bool blocking);
 
   /// Count one producer-side re-submission after a kShed result (the
@@ -222,7 +152,6 @@ class PredictionService {
   std::uint32_t unknown_tmpl_;
   std::int32_t total_nodes_ = 0;
   OverflowPolicy overflow_ = OverflowPolicy::kBlock;
-  bool validate_ = true;
   ServeMetrics metrics_;
   AlarmFeed alarms_;  ///< before sharded_: workers publish until it is gone
   std::unique_ptr<ShardedEngine> sharded_;

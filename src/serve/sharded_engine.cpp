@@ -57,11 +57,18 @@ void pin_to_core(std::size_t shard_idx) {
 ShardedEngine::ShardedEngine(const topo::Topology& topo,
                              std::vector<core::Chain> chains,
                              std::vector<core::SignalProfile> profiles,
-                             core::EngineConfig engine_cfg, ShardOptions opt,
+                             ServiceConfig cfg,
+                             std::vector<Tap<core::Prediction>*> taps,
                              ServeMetrics* metrics)
-    : topo_(topo), opt_(std::move(opt)), metrics_(metrics) {
+    : topo_(topo), opt_(std::move(cfg)), taps_(std::move(taps)),
+      metrics_(metrics) {
   if (opt_.shards == 0) opt_.shards = 1;
   if (opt_.batch == 0) opt_.batch = 1;
+  // Split the total ingest capacity across the shard rings. Floor of two
+  // batches per shard: a ring smaller than one pop quantum would make
+  // backpressure oscillate instead of smoothing bursts.
+  const std::size_t ring_capacity = std::max(
+      {opt_.ingest_capacity / opt_.shards, 2 * opt_.batch, std::size_t{2}});
   // Reader slots in the RCU hub are a fixed-width word; more shards than
   // slots cannot pin distinctly.
   if (opt_.hub && opt_.shards > ModelHub::kMaxReaders)
@@ -72,11 +79,10 @@ ShardedEngine::ShardedEngine(const topo::Topology& topo,
   shards_.reserve(opt_.shards);
   for (std::size_t i = 0; i < opt_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        opt_.queue_capacity,
-        core::OnlineEngine(topo, chains, profiles, engine_cfg)));
+        ring_capacity,
+        core::OnlineEngine(topo, chains, profiles, opt_.engine)));
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) spawn_worker(*shards_[i], i);
-  clock_ = opt_.clock ? opt_.clock : &own_clock_;
   if (opt_.watchdog_interval_ms > 0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
 }
@@ -203,7 +209,8 @@ void ShardedEngine::watchdog_loop() {
   const auto deadline = std::chrono::milliseconds(opt_.watchdog_deadline_ms);
   const std::size_t n = shards_.size();
   std::vector<std::uint64_t> last(n, 0);
-  std::vector<faultinject::FaultClock::time_point> since(n, clock_->now());
+  std::vector<std::chrono::steady_clock::time_point> since(
+      n, std::chrono::steady_clock::now());
   std::vector<bool> tripped(n, false);
   for (std::size_t i = 0; i < n; ++i)
     // relaxed: sampling an advisory progress counter; scans re-sample.
@@ -234,7 +241,7 @@ void ShardedEngine::watchdog_loop() {
       // relaxed: as above.
       const bool pending =
           s.queue.size() > 0 || s.busy.load(std::memory_order_relaxed);
-      const auto now = clock_->now();
+      const auto now = std::chrono::steady_clock::now();
       if (p != last[i] || !pending) {
         // Progress, or nothing owed: healthy. Re-anchor the deadline.
         last[i] = p;
@@ -243,11 +250,7 @@ void ShardedEngine::watchdog_loop() {
         continue;
       }
       if (s.alive.load(std::memory_order_acquire)) {
-        if (now < since[i]) {
-          // Non-monotone clock (skew fault): re-anchor rather than
-          // underflow or false-trip.
-          since[i] = now;
-        } else if (now - since[i] >= deadline && !tripped[i]) {
+        if (now - since[i] >= deadline && !tripped[i]) {
           tripped[i] = true;
           if (metrics_) metrics_->on_watchdog_trip();
         }
@@ -285,7 +288,7 @@ void ShardedEngine::drain_shard(Shard& s, std::size_t idx,
   while (s.preds_streamed < preds.size()) {
     const core::Prediction& p = preds[s.preds_streamed++];
     if (metrics_) metrics_->on_prediction(enq);
-    for (Tap<core::Prediction>* tap : opt_.taps) tap->publish(idx, p);
+    for (Tap<core::Prediction>* tap : taps_) tap->publish(idx, p);
   }
   if (metrics_) {
     const core::EngineStats& st = s.engine.stats();

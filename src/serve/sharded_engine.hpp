@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "elsa/online.hpp"
-#include "faultinject/clock.hpp"
 #include "faultinject/plan.hpp"
 #include "serve/metrics.hpp"
 #include "serve/model_handle.hpp"
@@ -43,6 +42,10 @@
 #include "serve/spsc_ring.hpp"
 #include "serve/tap.hpp"
 #include "util/thread_annotations.hpp"
+
+namespace elsa::helo {
+class TemplateMiner;
+}  // namespace elsa::helo
 
 namespace elsa::serve {
 
@@ -52,15 +55,28 @@ namespace elsa::serve {
 /// epoch moved.
 using ModelHub = RcuHub<core::ModelState>;
 
-struct ShardOptions {
+/// What a blocking submit does when the target shard's ring is full.
+enum class OverflowPolicy : std::uint8_t {
+  kBlock,       ///< wait for space (backpressure onto the producer)
+  kDropOldest,  ///< evict the oldest queued record to admit the new one
+  kShed,        ///< refuse the new record, counted in metrics
+};
+
+/// The serving layer's one config: PredictionService reads the
+/// classification and overflow fields, and hands the whole struct to the
+/// ShardedEngine it builds, which reads the rest.
+struct ServiceConfig {
   std::size_t shards = 4;
-  /// Capacity of each shard's ingest ring, in records (rounded up to a
-  /// power of two by the ring).
-  std::size_t queue_capacity = 16384;
+  /// Total ingest capacity, in records, split evenly across the per-shard
+  /// rings (each shard gets at least two batches' worth, and the ring
+  /// rounds its share up to a power of two).
+  std::size_t ingest_capacity = 8192;
   /// Most records a worker drains from its ring in one batched pop; bounds
   /// how much one scheduling quantum of work a worker commits to before
   /// re-checking for close/faults.
   std::size_t batch = 64;
+  /// What submit() does on a full shard ring.
+  OverflowPolicy overflow = OverflowPolicy::kBlock;
   /// Watchdog scan interval; 0 disables the watchdog thread entirely. The
   /// watchdog restarts dead shard workers, counts deadline trips, and
   /// drives the degraded flag in ServeMetrics. It only observes the data
@@ -70,34 +86,44 @@ struct ShardOptions {
   /// unhealthy: one watchdog trip per stall episode, degraded mode while
   /// any shard stays unhealthy.
   std::int64_t watchdog_deadline_ms = 2000;
-  /// Injected serve-side faults (stall / worker kill); null = none. Must
-  /// outlive the engine.
-  const faultinject::FaultPlan* faults = nullptr;
-  /// Time source for watchdog deadlines; null = a private real clock.
-  /// Tests inject a manual FaultClock to trip deadlines deterministically;
-  /// chaos runs inject a skewed one to prove trips survive non-monotone
-  /// time. Must outlive the engine.
-  const faultinject::FaultClock* clock = nullptr;
-  /// Wait-free per-shard prediction observers (see serve/tap.hpp), each
-  /// handed every prediction in list order. PredictionService registers its
-  /// alarm feed here, then the checkpoint advisor. Each must outlive the
-  /// engine.
-  std::vector<Tap<core::Prediction>*> taps;
   /// Pin each shard worker to one CPU (round-robin over the cores the
   /// process may run on; best-effort, Linux only). Off by default: pinning
   /// helps on dedicated multi-core serving boxes and hurts on shared or
   /// oversubscribed ones.
   bool pin_workers = false;
+  /// Injected serve-side faults (stall / worker kill); null = none. Must
+  /// outlive the service.
+  const faultinject::FaultPlan* faults = nullptr;
+  /// Wait-free per-shard prediction observer (serve/tap.hpp), handed every
+  /// prediction after the service's own alarm feed; null = none. The
+  /// checkpoint advisor (src/advisor) registers through this. Must outlive
+  /// the service.
+  Tap<core::Prediction>* tap = nullptr;
+  /// Incremental HELO classifier (see helo.hpp). Null = the offline
+  /// model's frozen classifier (classify_const). When set, submits
+  /// classify through its *mutating* path, so unseen message shapes learn
+  /// fresh template ids on the fly instead of collapsing onto the one
+  /// reserved "unknown" id. The mutating classifier is not internally
+  /// synchronized: all submits must come from ONE producer thread (the
+  /// replayer/`elsa mine` contract). Must outlive the service.
+  helo::TemplateMiner* live_classifier = nullptr;
   /// Live rule-model source (see serve/model_handle.hpp); null = engines
   /// serve the construction-time model forever. When set, every shard pins
   /// the hub once per batch and hot-swaps its engine on an epoch change —
   /// no lock anywhere on the predict path. Caps shards at
-  /// ModelHub::kMaxReaders. Must outlive the engine.
+  /// ModelHub::kMaxReaders. Must outlive the service.
   ModelHub* hub = nullptr;
   /// Classified-event observer on the consume side (see serve/tap.hpp);
   /// null = none. The incremental miner subscribes through this. Must
-  /// outlive the engine.
+  /// outlive the service.
   EventTap* event_tap = nullptr;
+  core::EngineConfig engine;
+
+  /// Zeroes the engine's simulated analysis-cost model: the serving layer
+  /// measures real latency instead of simulating 2012 hardware, and a
+  /// zero-cost model is what makes sharded output identical to a
+  /// single-engine run (per-shard simulated queues would diverge).
+  ServiceConfig() { engine.cost = core::AnalysisCostModel{0.0, 0.0, 0.0}; }
 };
 
 /// The merge's total order on predictions: every field that can differ
@@ -118,9 +144,13 @@ class ShardedEngine {
     ServeMetrics::Clock::time_point enq{};
   };
 
+  /// Every shard engine runs `cfg.engine`; `taps` are the prediction
+  /// observers, each handed every prediction in list order (the service
+  /// passes its alarm feed, then `cfg.tap`). Each tap must outlive the
+  /// engine.
   ShardedEngine(const topo::Topology& topo, std::vector<core::Chain> chains,
-                std::vector<core::SignalProfile> profiles,
-                core::EngineConfig engine_cfg, ShardOptions opt,
+                std::vector<core::SignalProfile> profiles, ServiceConfig cfg,
+                std::vector<Tap<core::Prediction>*> taps = {},
                 ServeMetrics* metrics = nullptr);
   ~ShardedEngine();
 
@@ -241,7 +271,8 @@ class ShardedEngine {
                    ServeMetrics::Clock::time_point enq);
 
   topo::Topology topo_;
-  ShardOptions opt_;
+  ServiceConfig opt_;
+  std::vector<Tap<core::Prediction>*> taps_;
   ServeMetrics* metrics_ = nullptr;
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -254,8 +285,6 @@ class ShardedEngine {
   // Watchdog machinery. The watchdog is the only thread that joins and
   // respawns shard workers while the engine runs; finish() and the
   // destructor stop it before touching the workers themselves.
-  faultinject::FaultClock own_clock_;  ///< real time, used when opt.clock null
-  const faultinject::FaultClock* clock_ = nullptr;
   std::thread watchdog_;
   // Rank kEngine: held only for the stop-flag wait — the watchdog's shard
   // scan (ring depth reads, worker joins, metrics flips) runs unlocked, so

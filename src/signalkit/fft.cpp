@@ -77,17 +77,4 @@ std::vector<double> autocorrelation(const std::vector<double>& x,
   return r;
 }
 
-std::vector<double> power_spectrum(const std::vector<double>& x) {
-  const std::size_t n = x.size();
-  if (n == 0) return {};
-  const double m = mean_of(x);
-  const std::size_t nfft = next_pow2(n);
-  std::vector<std::complex<double>> buf(nfft, {0.0, 0.0});
-  for (std::size_t i = 0; i < n; ++i) buf[i] = {x[i] - m, 0.0};
-  fft(buf);
-  std::vector<double> p(nfft / 2 + 1);
-  for (std::size_t k = 0; k < p.size(); ++k) p[k] = std::norm(buf[k]);
-  return p;
-}
-
 }  // namespace elsa::sigkit

@@ -20,7 +20,4 @@ std::size_t next_pow2(std::size_t n);
 std::vector<double> autocorrelation(const std::vector<double>& x,
                                     std::size_t max_lag);
 
-/// Power spectrum |X_k|^2 of the mean-removed series, bins [0, n_fft/2].
-std::vector<double> power_spectrum(const std::vector<double>& x);
-
 }  // namespace elsa::sigkit

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/thread_annotations.hpp"
 
@@ -61,23 +62,6 @@ double percentile(std::span<const double> xs, double p) {
   return v[lo] + frac * (v[hi] - v[lo]);
 }
 
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  const std::size_t n = std::min(xs.size(), ys.size());
-  if (n < 2) return 0.0;
-  const double mx = mean(xs.subspan(0, n));
-  const double my = mean(ys.subspan(0, n));
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
 double lgamma_mt(double x) {
 #if defined(__GLIBC__) || defined(__linux__) || defined(__APPLE__)
   // The reentrant variant takes the sign out-parameter instead of writing
@@ -113,65 +97,6 @@ double binomial_tail_pvalue(int n, int k, double p) {
     tail += std::exp(logp);
   }
   return std::min(1.0, tail);
-}
-
-void RunningStats::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::reset() {
-  n_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-SlidingMedian::SlidingMedian(std::size_t window)
-    : window_(window == 0 ? 1 : window) {
-  fifo_.reserve(window_);
-  sorted_.reserve(window_);
-}
-
-void SlidingMedian::push(double x) {
-  if (count_ == window_) {
-    // Evict the oldest sample from the sorted view.
-    const double old = fifo_[head_];
-    const auto it = std::lower_bound(sorted_.begin(), sorted_.end(), old);
-    sorted_.erase(it);
-    fifo_[head_] = x;
-    head_ = (head_ + 1) % window_;
-  } else {
-    fifo_.push_back(x);
-    ++count_;
-  }
-  sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), x), x);
-}
-
-double SlidingMedian::median() const {
-  if (sorted_.empty()) return 0.0;
-  const std::size_t mid = sorted_.size() / 2;
-  if (sorted_.size() % 2 == 1) return sorted_[mid];
-  return 0.5 * (sorted_[mid - 1] + sorted_[mid]);
-}
-
-double SlidingMedian::mad() const {
-  if (sorted_.empty()) return 0.0;
-  const double m = median();
-  std::vector<double> dev(sorted_.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i)
-    dev[i] = std::abs(sorted_[i] - m);
-  return median_inplace(dev);
-}
-
-void SlidingMedian::clear() {
-  fifo_.clear();
-  sorted_.clear();
-  head_ = 0;
-  count_ = 0;
 }
 
 }  // namespace elsa::util

@@ -3,9 +3,7 @@
 // compose with both offline vectors and online ring buffers.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace elsa::util {
 
@@ -31,9 +29,6 @@ double mad(std::span<const double> xs);
 /// statistics; 0 for an empty span.
 double percentile(std::span<const double> xs, double p);
 
-/// Pearson correlation coefficient; 0 when either side is constant.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
 /// Thread-safe log-gamma. glibc's lgamma(3) writes the process-global
 /// `signgam` on every call — a data race whenever two pool workers compute
 /// p-values concurrently (a real TSan hit in binomial_tail_pvalue, PR 1).
@@ -45,57 +40,5 @@ double lgamma_mt(double x);
 /// computed in log space. Used to judge whether an alignment count could
 /// be coincidence given the chance hit probability.
 double binomial_tail_pvalue(int n, int k, double p);
-
-/// Running mean/variance accumulator (Welford). Suitable for the online
-/// phase where signals are unbounded streams.
-class RunningStats {
- public:
-  void add(double x);
-  void reset();
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const { return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0; }
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-/// Exact median over a sliding window via order-statistic maintenance.
-/// The online outlier detector keeps one of these per signal; push() is
-/// O(log W) amortised using an indexed multiset emulated with two heaps
-/// would complicate removal, so we keep a sorted vector (W is a few
-/// thousand samples at most and insertion is a memmove — cache friendly
-/// and measurably faster than node-based structures at this size).
-class SlidingMedian {
- public:
-  explicit SlidingMedian(std::size_t window);
-
-  /// Insert x, evicting the oldest sample once the window is full.
-  void push(double x);
-
-  bool full() const { return fifo_.size() == window_; }
-  std::size_t size() const { return fifo_.size(); }
-  std::size_t window() const { return window_; }
-
-  /// Median of the current window contents; 0 when empty.
-  double median() const;
-
-  /// Robust scale (MAD) of the current window; 0 when empty. O(W log W);
-  /// callers cache it per characterisation epoch rather than per sample.
-  double mad() const;
-
-  void clear();
-
- private:
-  std::size_t window_;
-  std::vector<double> fifo_;    // insertion order, for eviction
-  std::vector<double> sorted_;  // value order, for order statistics
-  std::size_t head_ = 0;        // index of oldest element in fifo_
-  std::size_t count_ = 0;
-};
 
 }  // namespace elsa::util

@@ -1,8 +1,6 @@
 #include "util/strings.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 
@@ -46,14 +44,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
     if (i) out.append(sep);
     out.append(parts[i]);
   }
-  return out;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
   return out;
 }
 

@@ -15,8 +15,6 @@ std::vector<std::string> split(std::string_view s,
 std::string join(const std::vector<std::string>& parts,
                  std::string_view sep = " ");
 
-std::string to_lower(std::string_view s);
-
 bool starts_with(std::string_view s, std::string_view prefix);
 
 /// True if the token is entirely digits (possibly hex with 0x prefix),

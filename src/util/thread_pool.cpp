@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace elsa::util {
 
@@ -59,7 +60,17 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) body(i);
     }));
   }
-  for (auto& f : futs) f.get();  // propagates the first exception
+  // Wait for every chunk before rethrowing: the chunks call `body` by
+  // reference, so none may still be running once the caller unwinds.
+  std::exception_ptr first;
+  for (auto& f : futs) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  }
+  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace elsa::util

@@ -62,7 +62,8 @@ class ThreadPool {
 /// safe to call concurrently for distinct i. Falls back to a serial loop
 /// when the range is small or the pool has one worker, so callers never
 /// pay dispatch overhead on trivial inputs. Exceptions from any chunk are
-/// rethrown on the calling thread (first one wins).
+/// rethrown on the calling thread once every chunk has finished (the first
+/// chunk's exception, in chunk order, wins).
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 64);

@@ -1,17 +1,15 @@
 // Advisor suite: estimator hysteresis and directive rate limiting
-// (FaultClock-stamped trace time), partition mapping, directive scoring,
+// (hand-stepped trace time), partition mapping, directive scoring,
 // and the service-level properties — byte-identical CheckpointSchedule
 // across shard counts and directive conservation under chaos plans.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <vector>
 
 #include "advisor/advisor.hpp"
 #include "advisor/service.hpp"
 #include "elsa/pipeline.hpp"
-#include "faultinject/clock.hpp"
 #include "faultinject/injector.hpp"
 #include "faultinject/plan.hpp"
 #include "serve/replayer.hpp"
@@ -22,15 +20,6 @@ namespace {
 using namespace elsa;
 
 // ------------------------------------------------------- advisor units --
-
-/// Trace time for the unit tests comes from a bendable manual FaultClock:
-/// advance() moves it, negative advances model the skewed timestamps the
-/// rate limiter has to treat as duplicates.
-std::int64_t clock_ms(const faultinject::FaultClock& clk) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             clk.now().time_since_epoch())
-      .count();
-}
 
 core::Prediction mk(std::int64_t t_ms, std::int32_t node, double conf,
                     std::int64_t lead_ms) {
@@ -63,17 +52,18 @@ advisor::AdvisorConfig unit_config() {
 
 TEST(CheckpointAdvisor, HysteresisPublishesOnlyRealMoves) {
   advisor::CheckpointAdvisor adv(unit_config(), 4);
-  auto clk = faultinject::FaultClock::manual();
+  constexpr std::int64_t kMinute = 60'000;
+  std::int64_t t_ms = 0;  // trace time
   // Five alarms at a steady 1-minute gap: the first estimate publishes,
   // identical re-estimates sit inside the 10% hysteresis band.
   for (int i = 0; i < 5; ++i) {
-    adv.on_prediction(mk(clock_ms(clk), 0, 0.0, 0));
-    clk.advance(std::chrono::minutes(1));
+    adv.on_prediction(mk(t_ms, 0, 0.0, 0));
+    t_ms += kMinute;
   }
   EXPECT_EQ(adv.schedule().updates.size(), 1u);
   // A 10x gap is far outside the band: second update.
-  clk.advance(std::chrono::minutes(9));
-  adv.on_prediction(mk(clock_ms(clk), 0, 0.0, 0));
+  t_ms += 9 * kMinute;
+  adv.on_prediction(mk(t_ms, 0, 0.0, 0));
   const auto sched = adv.schedule();
   ASSERT_EQ(sched.updates.size(), 2u);
   EXPECT_NEAR(sched.updates[1].est_mttf_min, 10.0, 1e-9);
@@ -81,25 +71,24 @@ TEST(CheckpointAdvisor, HysteresisPublishesOnlyRealMoves) {
 
 TEST(CheckpointAdvisor, DirectiveRateLimitAndSkewedDuplicates) {
   advisor::CheckpointAdvisor adv(unit_config(), 4);
-  auto clk = faultinject::FaultClock::manual();
-  clk.advance(std::chrono::milliseconds(5000));
-  adv.on_prediction(mk(clock_ms(clk), 0, 0.9, 5000));  // directive
-  clk.advance(std::chrono::milliseconds(5000));
-  adv.on_prediction(mk(clock_ms(clk), 0, 0.9, 5000));  // inside window
+  std::int64_t t_ms = 5000;  // trace time
+  adv.on_prediction(mk(t_ms, 0, 0.9, 5000));  // directive
+  t_ms += 5000;
+  adv.on_prediction(mk(t_ms, 0, 0.9, 5000));  // inside window
   // Skewed backwards past the first directive: still "inside" the window
   // (a directive from the past is a duplicate, not a new incident).
-  clk.advance(std::chrono::milliseconds(-8000));
-  adv.on_prediction(mk(clock_ms(clk), 0, 0.9, 5000));
+  t_ms -= 8000;
+  adv.on_prediction(mk(t_ms, 0, 0.9, 5000));
   // Low confidence / short lead never enter the limiter at all.
-  adv.on_prediction(mk(clock_ms(clk), 0, 0.2, 5000));
-  adv.on_prediction(mk(clock_ms(clk), 0, 0.9, 10));
-  clk.advance(std::chrono::milliseconds(18000));
-  adv.on_prediction(mk(clock_ms(clk), 0, 0.9, 5000));  // window expired
+  adv.on_prediction(mk(t_ms, 0, 0.2, 5000));
+  adv.on_prediction(mk(t_ms, 0, 0.9, 10));
+  t_ms += 18000;
+  adv.on_prediction(mk(t_ms, 0, 0.9, 5000));  // window expired
   const auto sched = adv.schedule();
   EXPECT_EQ(sched.directives.size(), 2u);
   EXPECT_EQ(sched.suppressed, 2u);
   // Different partition, same instant: independent limiter.
-  adv.on_prediction(mk(clock_ms(clk), 5, 0.9, 5000));
+  adv.on_prediction(mk(t_ms, 5, 0.9, 5000));
   EXPECT_EQ(adv.schedule().directives.size(), 3u);
 }
 

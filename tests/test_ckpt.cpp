@@ -1,13 +1,18 @@
 // Checkpoint-waste model tests: the algebra of eqs 1–7, limiting cases,
-// monotonicity properties, Table IV's published values, and agreement
-// between the analytical model and the event-driven simulator.
+// monotonicity properties, Table IV's published values, agreement
+// between the analytical model and the event-driven simulator, and the
+// schedule replay of a real campaign's alarm stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "ckpt/simulator.hpp"
 #include "ckpt/waste_model.hpp"
+#include "elsa/pipeline.hpp"
+#include "simlog/scenario.hpp"
 
 namespace {
 
@@ -326,6 +331,66 @@ TEST(ScheduleSim, IntervalChangeTakesEffectAtItsTime) {
     return simulate_schedule(c);
   }();
   EXPECT_EQ(none.checkpoints, 0u);
+}
+
+// Table IV's claim on a real alarm stream: a predictor's in-time alarms
+// and false alarms, replayed against the campaign's actual failures, waste
+// less than periodic checkpointing alone. Each predicted failure gets a
+// proactive checkpoint at its failure time (the tie-break checkpoints
+// before the failure strikes), each false alarm costs one checkpoint at
+// its issue time, and the periodic interval is Young's at the MTTF of the
+// failures prediction leaves uncovered.
+TEST(ScheduleSim, PredictionReducesWasteOnRealCampaign) {
+  using namespace elsa;
+  auto sc = simlog::make_bluegene_scenario(2012, 10.0, 60);
+  const auto trace = sc.generator.generate(sc.config);
+  const core::PipelineConfig pcfg;
+  const auto res =
+      core::run_experiment(trace, 4.0, core::Method::Hybrid, pcfg);
+
+  const auto minutes = [](std::int64_t ms) {
+    return static_cast<double>(ms) / 60'000.0;
+  };
+  ScheduleSimConfig blind;
+  blind.params = {1.0, 5.0, 1.0, 0.0};  // C=1min R=5min D=1min
+  blind.t_begin = minutes(trace.t_begin_ms + 4 * 86'400'000LL);
+  blind.t_end = minutes(trace.t_end_ms);
+  ScheduleSimConfig warned = blind;
+  std::size_t predicted = 0;
+  for (std::size_t i = 0; i < trace.faults.size(); ++i) {
+    const double t = minutes(trace.faults[i].fail_time_ms);
+    if (t < blind.t_begin || t >= blind.t_end) continue;
+    blind.failures.push_back(t);
+    if (res.eval.fault_predicted[i]) {
+      warned.proactive.push_back(t);
+      ++predicted;
+    }
+  }
+  std::size_t false_alarms = 0;
+  for (std::size_t i = 0; i < res.predictions.size(); ++i) {
+    if (res.eval.prediction_correct[i]) continue;
+    warned.proactive.push_back(minutes(res.predictions[i].issue_time_ms));
+    ++false_alarms;
+  }
+  std::sort(blind.failures.begin(), blind.failures.end());
+  std::sort(warned.proactive.begin(), warned.proactive.end());
+  warned.failures = blind.failures;
+
+  const std::size_t failures = blind.failures.size();
+  ASSERT_GT(failures, predicted);
+  const double span = blind.t_end - blind.t_begin;
+  blind.params.mttf = span / static_cast<double>(failures);
+  blind.interval = young_interval(blind.params);
+  warned.params.mttf = span / static_cast<double>(failures - predicted);
+  warned.interval = young_interval(warned.params);
+
+  const auto without = simulate_schedule(blind);
+  const auto with_pred = simulate_schedule(warned);
+  EXPECT_GT(predicted, 0u);
+  EXPECT_EQ(with_pred.failures, failures);
+  EXPECT_EQ(with_pred.proactive_taken, predicted + false_alarms);
+  EXPECT_LT(with_pred.waste(), without.waste());
+  EXPECT_GT(with_pred.useful_work, without.useful_work);
 }
 
 TEST(ScheduleSim, RejectsMalformedConfig) {

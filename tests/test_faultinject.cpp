@@ -1,17 +1,13 @@
 // The fault-injection layer's contract: plans parse (and re-parse from
 // their own to_string), the injector's schedule is a pure function of
-// (seed, arrival ordinal), every kind does what its clause says, the
-// injector-side conservation identity holds after flush, and the bendable
-// clock really bends (including backwards — the non-monotone reading the
-// watchdog must survive).
-#include "faultinject/clock.hpp"
+// (seed, arrival ordinal), every kind does what its clause says, and the
+// injector-side conservation identity holds after flush.
 #include "faultinject/injector.hpp"
 #include "faultinject/plan.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -20,7 +16,6 @@
 namespace {
 
 using namespace elsa;
-using faultinject::FaultClock;
 using faultinject::FaultInjector;
 using faultinject::FaultKind;
 using faultinject::FaultPlan;
@@ -292,34 +287,6 @@ TEST(FaultInjector, ConservationHoldsAfterFlush) {
     EXPECT_EQ(s.seen + s.duplicated, s.delivered + s.dropped) << plan_text;
     EXPECT_EQ(out.size(), s.delivered) << plan_text;
   }
-}
-
-// ---------------------------------------------------------------- clock --
-
-TEST(FaultClock, ManualMovesOnlyWhenAdvanced) {
-  FaultClock clk = FaultClock::manual();
-  EXPECT_TRUE(clk.is_manual());
-  const auto t0 = clk.now();
-  EXPECT_EQ(clk.now(), t0);  // no wall-time drift
-  clk.advance(std::chrono::milliseconds(1500));
-  EXPECT_EQ(clk.now() - t0, std::chrono::milliseconds(1500));
-}
-
-TEST(FaultClock, NegativeAdvanceGoesBackwards) {
-  FaultClock clk = FaultClock::manual();
-  clk.advance(std::chrono::seconds(10));
-  const auto t0 = clk.now();
-  clk.advance(-std::chrono::seconds(4));
-  EXPECT_EQ(t0 - clk.now(), std::chrono::seconds(4));
-}
-
-TEST(FaultClock, RealModeTracksSteadyClockPlusOffset) {
-  FaultClock clk;
-  EXPECT_FALSE(clk.is_manual());
-  const auto before = FaultClock::Clock::now();
-  clk.advance(std::chrono::hours(1));
-  const auto shifted = clk.now();
-  EXPECT_GE(shifted - before, std::chrono::minutes(59));
 }
 
 }  // namespace

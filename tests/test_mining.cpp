@@ -12,7 +12,9 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "elsa/model_io.hpp"
@@ -129,6 +131,50 @@ TEST(OnlineMiner, LoadStateRejectsMalformedInput) {
   mining::OnlineMiner miner;
   std::stringstream bad("not-a-miner-state 1\n");
   EXPECT_THROW(miner.load_state(bad), std::runtime_error);
+}
+
+/// The message load_state fails with on `text`; empty if it loads. A loader
+/// that sizes an allocation from an unchecked count throws bad_alloc here
+/// instead, which the test reports as an error.
+std::string load_state_error(const std::string& text) {
+  mining::OnlineMiner miner;
+  std::stringstream is(text);
+  try {
+    miner.load_state(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+// A count the file does not back fails at its first missing row, naming
+// its section, and never sizes anything (the pairs count is 10^12 because
+// a hash table's bucket array takes only 8 bytes a row, so a loader that
+// reserved it would fail outright rather than touch the pages). A row
+// naming a template past the templates section is refused too: fold()
+// sizes that table before it records an event, and build_model indexes by
+// those ids.
+TEST(OnlineMiner, LoadStateRejectsWhatTheFileDoesNotHold) {
+  const std::string head = "elsa-miner-state 1\nfolded 1 first 0 last 0\n";
+  const std::string one = head + "templates 1\nt 0 1 0 0 0 4 0\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {head + "templates 4000000000\nend\n", "bad template row"},
+      {one + "recent 4000000000\nend\n", "bad recent row"},
+      {one + "recent 0\npairs 1000000000000\np 0 0 0 1\nend\n",
+       "bad pair row"},
+      {one + "recent 1\nr 0 1000\npairs 0\nend\n",
+       "recent row names an unknown template"},
+      // Antecedent 1000, then consequent 1000.
+      {one + "recent 0\npairs 1\np 4294967296000 0 0 1\nend\n",
+       "pair row names an unknown template"},
+      {one + "recent 0\npairs 1\np 1000 0 0 1\nend\n",
+       "pair row names an unknown template"}};
+  for (const auto& [text, why] : cases)
+    EXPECT_EQ(load_state_error(text), "OnlineMiner::load_state: " + why)
+        << text;
+  EXPECT_EQ(load_state_error(one + "recent 1\nr 0 0\npairs 1\np 0 0 0 1\n"
+                                   "end\n"),
+            "");
 }
 
 TEST(OnlineMiner, PairMemoryStaysBounded) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "elsa/model_io.hpp"
 #include "elsa/online.hpp"
@@ -133,6 +135,65 @@ TEST(ModelIo, RejectsDanglingChainReference) {
      << "chains 1\nC 2 4 0.5 0.9 1 1 0 1 1 4 0:0 9:5\n"  // signal 9 unknown
      << "end\n";
   EXPECT_THROW(core::load_model(ss), std::runtime_error);
+}
+
+/// The message load_model fails with on `text`; empty if it loads. A loader
+/// that sizes an allocation from an unchecked count throws bad_alloc here
+/// instead, which the test reports as an error.
+std::string load_error(const std::string& text) {
+  std::stringstream is(text);
+  try {
+    core::load_model(is);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return {};
+}
+
+/// A model file's header, and a one-template model up to its chains.
+const std::string kHead = "ELSA-MODEL 1\nmethod 0\ntrain 0 1000\n";
+const std::string kUpToChains = kHead +
+                                "templates 1\nT 5 2 hello world\n"
+                                "profiles 1\nP 2 0 0 0.5 0 0 0 0\n"
+                                "severities 1\nS 0\n";
+
+// Each count promises far more rows, tokens or items than the file holds:
+// the loader must fail at the first missing one, naming its section, and
+// never size an allocation from the count. Every count is far past what a
+// machine's memory could back at its element size (1-byte severities and
+// 8-byte chain items take 10^12), so a loader that did allocate would fail
+// outright rather than touch the pages.
+TEST(ModelIo, RejectsCountsTheFileDoesNotHold) {
+  const std::pair<std::string, std::string> cases[] = {
+      {kHead + "templates 4000000000\n", "templates"},
+      {kHead + "templates 1\nT 1 3000000000 a\n", "templates"},
+      {kHead + "templates 0\nprofiles 4000000000\nend\n", "profiles"},
+      {kHead + "templates 0\nprofiles 0\nseverities 1000000000000\nS 0\n",
+       "severities"},
+      {kUpToChains + "chains 4000000000\nend\n", "chains"},
+      {kUpToChains + "chains 1\nC 1000000000000 4 0.5 0.9 1 1 0 1 1 4 0:0\n",
+       "chains"}};
+  for (const auto& [text, section] : cases)
+    EXPECT_EQ(load_error(text), "load_model: " + section + " section ends early")
+        << text;
+}
+
+TEST(ModelIo, RejectsBadChainItems) {
+  const std::string row = kUpToChains + "chains 1\nC 2 4 0.5 0.9 ";
+  const std::string items = " 1 0 1 1 4 0:0 ";
+  const std::pair<std::string, std::string> cases[] = {
+      {"1" + items + "99999999999999999999:1", "signal"},  // overflows
+      {"1" + items + "0:99999999999", "delay"},
+      {"1" + items + "0:1x", "delay"},
+      {"1" + items + "7", "signal"},  // no ':'
+      {"2" + items + "0:3", "failure item"},  // past the last item
+      {"-2" + items + "0:3", "failure item"}};
+  for (const auto& [text, field] : cases)
+    EXPECT_NE(load_error(row + text + "\nend\n").find(field),
+              std::string::npos)
+        << text;
+  for (const char* ok : {"1", "0", "-1"})
+    EXPECT_EQ(load_error(row + ok + items + "0:-3\nend\n"), "") << ok;
 }
 
 TEST(ModelIo, DigestIsStableAndSeparatesModels) {

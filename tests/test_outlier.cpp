@@ -15,7 +15,6 @@ namespace {
 
 using namespace elsa::core;
 using elsa::util::Rng;
-using elsa::util::SlidingMedian;
 
 class CountingMedianProperty : public ::testing::TestWithParam<std::size_t> {};
 

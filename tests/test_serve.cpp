@@ -84,10 +84,11 @@ const std::vector<core::Prediction>& run_single() {
 std::pair<std::vector<core::Prediction>, core::EngineStats> run_sharded(
     std::size_t shards) {
   const Campaign& c = campaign();
-  serve::ShardOptions so;
-  so.shards = shards;
+  serve::ServiceConfig cfg;
+  cfg.shards = shards;
+  cfg.engine = c.engine;
   serve::ShardedEngine eng(c.trace.topology, c.model.chains, c.model.profiles,
-                           c.engine, so);
+                           cfg);
   for (const auto& [rec, tid] : c.stream) eng.feed(*rec, tid);
   eng.finish(c.trace.t_end_ms);
   return {eng.predictions(), eng.stats()};
@@ -148,9 +149,9 @@ TEST(ShardedEngine, DeterministicAcrossRuns) {
 
 TEST(ShardedEngine, RoutesByMidplane) {
   const auto topo = topo::Topology::bluegene(2, 2, 4, 8);  // 32 per midplane
-  serve::ShardOptions so;
-  so.shards = 3;
-  serve::ShardedEngine eng(topo, {}, {}, core::EngineConfig{}, so);
+  serve::ServiceConfig cfg;
+  cfg.shards = 3;
+  serve::ShardedEngine eng(topo, {}, {}, cfg);
   // System records (partition -1) hash like any other key — the mapping is
   // still a pure function, just not pinned to shard 0.
   EXPECT_EQ(eng.shard_of(-1),
@@ -256,7 +257,7 @@ TEST(PredictionService, MultiProducerNoLoss) {
   // The service is closed now.
   simlog::LogRecord late;
   EXPECT_FALSE(service.submit(late));
-  EXPECT_FALSE(service.try_submit(late));
+  EXPECT_EQ(service.submit_result(late, false), serve::SubmitResult::kClosed);
   service.finish(0);  // idempotent
 }
 
@@ -315,7 +316,8 @@ TEST(PredictionService, ValidatorQuarantinesMalformed) {
   for (int i = 0; i < 20; ++i) ASSERT_TRUE(service.submit(synth_record(i, 8)));
   simlog::LogRecord bad;
   bad.node_id = 999;  // outside the 8-node topology
-  EXPECT_FALSE(service.try_submit(bad));
+  EXPECT_EQ(service.submit_result(bad, false),
+            serve::SubmitResult::kQuarantined);
   bad.node_id = -2;  // below the system-scope sentinel
   EXPECT_EQ(service.submit_result(bad, true), serve::SubmitResult::kQuarantined);
   bad.node_id = 0;
@@ -506,13 +508,13 @@ TEST(ShardedEngine, WatchdogTripsOnStallThenRecovers) {
   const auto plan = faultinject::FaultPlan::parse("stall=0@10:600", 7);
   const auto topo = topo::Topology::cluster(4);
   serve::ServeMetrics metrics;
-  serve::ShardOptions so;
-  so.shards = 1;
-  so.batch = 1;
-  so.watchdog_interval_ms = 20;
-  so.watchdog_deadline_ms = 100;
-  so.faults = &plan;
-  serve::ShardedEngine eng(topo, {}, {}, core::EngineConfig{}, so, &metrics);
+  serve::ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.batch = 1;
+  cfg.watchdog_interval_ms = 20;
+  cfg.watchdog_deadline_ms = 100;
+  cfg.faults = &plan;
+  serve::ShardedEngine eng(topo, {}, {}, cfg, {}, &metrics);
 
   simlog::LogRecord rec;
   for (int i = 0; i < 50; ++i) {
@@ -540,13 +542,13 @@ TEST(ShardedEngine, FailedWorkerRestartedNothingLost) {
   const auto plan = faultinject::FaultPlan::parse("failworker=0@50", 7);
   const auto topo = topo::Topology::cluster(4);
   serve::ServeMetrics metrics;
-  serve::ShardOptions so;
-  so.shards = 1;
-  so.batch = 8;
-  so.watchdog_interval_ms = 10;
-  so.watchdog_deadline_ms = 200;
-  so.faults = &plan;
-  serve::ShardedEngine eng(topo, {}, {}, core::EngineConfig{}, so, &metrics);
+  serve::ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.batch = 8;
+  cfg.watchdog_interval_ms = 10;
+  cfg.watchdog_deadline_ms = 200;
+  cfg.faults = &plan;
+  serve::ShardedEngine eng(topo, {}, {}, cfg, {}, &metrics);
 
   simlog::LogRecord rec;
   for (int i = 0; i < 300; ++i) {

@@ -1,12 +1,10 @@
-// Unit and property tests for the statistics toolkit, including the
-// sliding-median structures the online outlier detector depends on.
+// Unit tests for the statistics toolkit: moments, order statistics and
+// the binomial tail behind the cross-correlation significance test.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -50,29 +48,6 @@ TEST(Stats, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 25.0);
 }
 
-TEST(Stats, PearsonKnownValues) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  const std::vector<double> ys{2, 4, 6, 8};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  const std::vector<double> zs{8, 6, 4, 2};
-  EXPECT_NEAR(pearson(xs, zs), -1.0, 1e-12);
-  const std::vector<double> c{5, 5, 5, 5};
-  EXPECT_DOUBLE_EQ(pearson(xs, c), 0.0);
-}
-
-TEST(Stats, RunningStatsMatchesBatch) {
-  Rng rng(1);
-  std::vector<double> xs;
-  RunningStats rs;
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    xs.push_back(x);
-    rs.add(x);
-  }
-  EXPECT_NEAR(rs.mean(), mean(xs), 1e-9);
-  EXPECT_NEAR(rs.variance(), variance(xs), 1e-6);
-}
-
 TEST(Stats, BinomialTailClosedForms) {
   // P(X >= 1) = 1 - (1-p)^n
   EXPECT_NEAR(binomial_tail_pvalue(10, 1, 0.1), 1.0 - std::pow(0.9, 10),
@@ -91,56 +66,6 @@ TEST(Stats, BinomialTailMonotoneInK) {
     EXPECT_LE(p, prev + 1e-12);
     prev = p;
   }
-}
-
-// ---- SlidingMedian property test vs a naive reference --------------------
-
-double naive_window_median(const std::vector<double>& xs, std::size_t end,
-                           std::size_t window) {
-  const std::size_t lo = end >= window ? end - window : 0;
-  std::vector<double> w(xs.begin() + static_cast<std::ptrdiff_t>(lo),
-                        xs.begin() + static_cast<std::ptrdiff_t>(end));
-  std::sort(w.begin(), w.end());
-  if (w.empty()) return 0.0;
-  const std::size_t mid = w.size() / 2;
-  return w.size() % 2 == 1 ? w[mid] : 0.5 * (w[mid - 1] + w[mid]);
-}
-
-class SlidingMedianProperty : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(SlidingMedianProperty, MatchesNaiveReference) {
-  const std::size_t window = GetParam();
-  Rng rng(window * 977 + 13);
-  SlidingMedian sm(window);
-  std::vector<double> xs;
-  for (int i = 0; i < 800; ++i) {
-    const double x = std::floor(rng.uniform(0.0, 50.0));
-    xs.push_back(x);
-    sm.push(x);
-    ASSERT_DOUBLE_EQ(sm.median(), naive_window_median(xs, xs.size(), window))
-        << "at step " << i << " window " << window;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Windows, SlidingMedianProperty,
-                         ::testing::Values(1, 2, 3, 5, 16, 64, 301));
-
-TEST(SlidingMedian, MadOfConstantWindow) {
-  SlidingMedian sm(8);
-  for (int i = 0; i < 8; ++i) sm.push(4.0);
-  EXPECT_DOUBLE_EQ(sm.median(), 4.0);
-  EXPECT_DOUBLE_EQ(sm.mad(), 0.0);
-}
-
-TEST(SlidingMedian, ClearResets) {
-  SlidingMedian sm(4);
-  sm.push(1);
-  sm.push(2);
-  sm.clear();
-  EXPECT_EQ(sm.size(), 0u);
-  EXPECT_DOUBLE_EQ(sm.median(), 0.0);
-  sm.push(9);
-  EXPECT_DOUBLE_EQ(sm.median(), 9.0);
 }
 
 }  // namespace

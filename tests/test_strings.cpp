@@ -31,8 +31,7 @@ TEST(Strings, JoinRoundTrip) {
   EXPECT_EQ(join({"solo"}, "-"), "solo");
 }
 
-TEST(Strings, ToLowerAndStartsWith) {
-  EXPECT_EQ(to_lower("MiXeD 123"), "mixed 123");
+TEST(Strings, StartsWith) {
   EXPECT_TRUE(starts_with("FAILURE ciodb", "FAILURE"));
   EXPECT_FALSE(starts_with("abc", "abcd"));
 }

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -94,6 +97,32 @@ TEST(ParallelFor, EveryChunkThrowingRethrowsExactlyOne) {
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("chunk"), std::string::npos);
+  }
+}
+
+TEST(ParallelFor, ThrowWaitsForEveryOtherChunk) {
+  // Chunk 0 throws at once while the other 15 are still sleeping. The
+  // rethrow must wait for them: they call `body` by reference, and the
+  // caller's frame is about to unwind. The counters and `body` are
+  // declared before the pool, so a parallel_for that rethrows early still
+  // leaves them alive until the pool's workers have joined.
+  std::atomic<int> running{0};
+  std::atomic<int> finished{0};
+  const std::function<void(std::size_t)> body = [&](std::size_t i) {
+    if (i == 0) throw std::runtime_error("chunk 0");
+    ++running;
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    --running;
+    ++finished;
+  };
+  ThreadPool pool(4);
+  try {
+    parallel_for(pool, 0, 16, body, /*grain=*/1);
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "chunk 0");
+    EXPECT_EQ(running.load(), 0);
+    EXPECT_EQ(finished.load(), 15);
   }
 }
 

@@ -14,13 +14,14 @@
 //       Stream a RAS log through the online engine and print alarms.
 //
 //   elsa serve --system bluegene|mercury --log LOG --model MODEL
-//              [--shards N] [--speedup X] [--shed 1]
+//              [--shards N] [--speedup X] [--policy block|drop-oldest|shed]
 //       Replay a RAS log through the multi-threaded sharded prediction
 //       service (bounded ingest queue, one engine per topology shard),
 //       print alarms as they are issued, and report serving metrics.
 //       --speedup X replays at X trace-seconds per wall-second; 0 (the
-//       default) replays as fast as possible. --shed 1 selects the shed
-//       overflow policy: a full shard ring refuses the record (counted).
+//       default) replays as fast as possible. --policy picks what a full
+//       shard ring does: block the producer (the default), evict the
+//       oldest queued record, or shed the new one (counted).
 //
 //   elsa chaos --system bluegene|mercury --log LOG --model MODEL
 //              [--plan SPEC|all|none] [--seed S] [--shards N]
@@ -68,9 +69,10 @@
 //
 // The --system flag supplies the machine topology (real deployments would
 // read it from the site's configuration database). Each subcommand accepts
-// exactly the flags listed for it, once each and each with a value, and a
-// numeric value must be a whole, finite number in the flag's range;
-// anything else prints usage and exits 2.
+// exactly the flags listed for it, once each and each with a value; a
+// numeric value must be a whole, finite number in the flag's range, and
+// --system, --method and --policy must name one of their listed values.
+// Anything else prints usage and exits 2 before any file is read.
 
 #include <algorithm>
 #include <charconv>
@@ -123,7 +125,8 @@ int usage() {
          "  elsa predict  --system bluegene|mercury --log LOG --model MODEL "
          "[--max-alarms N]\n"
          "  elsa serve    --system bluegene|mercury --log LOG --model MODEL "
-         "[--shards N] [--speedup X] [--shed 1] [--max-alarms N]\n"
+         "[--shards N] [--speedup X] [--policy block|drop-oldest|shed] "
+         "[--max-alarms N]\n"
          "  elsa chaos    --system bluegene|mercury --log LOG --model MODEL "
          "[--plan SPEC|all|none] [--seed S] [--shards N] "
          "[--policy block|drop-oldest|shed] [--speedup X]\n"
@@ -217,7 +220,7 @@ constexpr double kMaxDays = 36500.0;
 /// Shard counts: one worker thread each.
 constexpr std::size_t kMaxShards = 1024;
 
-/// A 0/1 switch such as --check or --shed.
+/// A 0/1 switch such as --check.
 bool switch_on(const Flags& flags, const std::string& name) {
   return number<int>(flags, name, 0, 0, 1) != 0;
 }
@@ -232,22 +235,49 @@ double speedup_flag(const Flags& flags) {
                         0.0, 1e9);
 }
 
-topo::Topology topology_for(const std::string& system) {
-  if (system == "bluegene") return topo::Topology::bluegene(4, 2, 8, 16);
-  if (system == "mercury") return topo::Topology::cluster(891, 32);
-  throw std::runtime_error("unknown --system '" + system +
-                           "' (want bluegene or mercury)");
+enum class System : std::uint8_t { kBlueGene, kMercury };
+
+/// The machine --system names; it has no default.
+System system_flag(const Flags& flags) {
+  const std::string& name = required(flags, "system");
+  if (name == "bluegene") return System::kBlueGene;
+  if (name == "mercury") return System::kMercury;
+  throw UsageError("invalid --system '" + name + "': want bluegene|mercury");
 }
 
-core::Method method_for(const std::string& name) {
-  if (name == "hybrid" || name.empty()) return core::Method::Hybrid;
-  if (name == "signal") return core::Method::SignalOnly;
-  if (name == "dm") return core::Method::DataMining;
-  throw std::runtime_error("unknown --method '" + name + "'");
+core::Method method_flag(const Flags& flags) {
+  const auto it = flags.find("method");
+  if (it == flags.end() || it->second == "hybrid") return core::Method::Hybrid;
+  if (it->second == "signal") return core::Method::SignalOnly;
+  if (it->second == "dm") return core::Method::DataMining;
+  throw UsageError("invalid --method '" + it->second +
+                   "': want hybrid|signal|dm");
 }
 
-simlog::Trace trace_from_log(const std::string& path,
-                             const std::string& system) {
+serve::OverflowPolicy policy_flag(const Flags& flags) {
+  const auto it = flags.find("policy");
+  if (it == flags.end() || it->second == "block")
+    return serve::OverflowPolicy::kBlock;
+  if (it->second == "drop-oldest") return serve::OverflowPolicy::kDropOldest;
+  if (it->second == "shed") return serve::OverflowPolicy::kShed;
+  throw UsageError("invalid --policy '" + it->second +
+                   "': want block|drop-oldest|shed");
+}
+
+topo::Topology topology_for(System system) {
+  return system == System::kMercury ? topo::Topology::cluster(891, 32)
+                                    : topo::Topology::bluegene(4, 2, 8, 16);
+}
+
+/// The generated campaign of `system`, deterministic in (seed, days).
+simlog::Scenario scenario_for(System system, std::uint64_t seed,
+                              double days) {
+  return system == System::kMercury
+             ? simlog::make_mercury_scenario(seed, days)
+             : simlog::make_bluegene_scenario(seed, days);
+}
+
+simlog::Trace trace_from_log(const std::string& path, System system) {
   const auto topology = topology_for(system);
   auto parsed = simlog::read_ras_log_file(path, topology);
   if (parsed.records.empty())
@@ -264,13 +294,11 @@ simlog::Trace trace_from_log(const std::string& path,
 }
 
 int cmd_generate(const Flags& flags) {
-  const auto& system = required(flags, "system");
+  const System system = system_flag(flags);
   const double days = required_number(flags, "days", kMinDays, kMaxDays);
   const auto seed = number<std::uint64_t>(flags, "seed", 2012);
   const auto& out = required(flags, "out");
-  auto scenario = system == "mercury"
-                      ? simlog::make_mercury_scenario(seed, days)
-                      : simlog::make_bluegene_scenario(seed, days);
+  auto scenario = scenario_for(system, seed, days);
   const auto trace = scenario.generator.generate(scenario.config);
   simlog::write_ras_log_file(out, trace.records, trace.topology);
   std::cout << "wrote " << trace.records.size() << " records ("
@@ -280,15 +308,14 @@ int cmd_generate(const Flags& flags) {
 }
 
 int cmd_train(const Flags& flags) {
+  const System system = system_flag(flags);
+  const core::Method method = method_flag(flags);
   const auto& out = required(flags, "out");
-  const auto trace =
-      trace_from_log(required(flags, "log"), required(flags, "system"));
+  const auto trace = trace_from_log(required(flags, "log"), system);
   const double span_days =
       static_cast<double>(trace.t_end_ms - trace.t_begin_ms) / 86'400'000.0;
   const double train_days =
       number(flags, "train-days", span_days, kMinDays, kMaxDays);
-  const auto method = method_for(
-      flags.count("method") ? flags.at("method") : std::string{});
 
   core::PipelineConfig cfg;
   const std::int64_t train_end =
@@ -338,8 +365,8 @@ int cmd_inspect(const Flags& flags) {
 }
 
 int cmd_predict(const Flags& flags) {
-  const auto trace =
-      trace_from_log(required(flags, "log"), required(flags, "system"));
+  const System system = system_flag(flags);
+  const auto trace = trace_from_log(required(flags, "log"), system);
   auto model = core::load_model_file(required(flags, "model"));
   const auto max_alarms = number<std::size_t>(flags, "max-alarms", 50);
 
@@ -374,14 +401,14 @@ int cmd_predict(const Flags& flags) {
 }
 
 int cmd_serve(const Flags& flags) {
-  const auto trace =
-      trace_from_log(required(flags, "log"), required(flags, "system"));
+  const System system = system_flag(flags);
+  serve::ServiceConfig scfg;  // zero-cost model: latency is measured, not simulated
+  scfg.overflow = policy_flag(flags);
+  const auto trace = trace_from_log(required(flags, "log"), system);
   const auto model = core::load_model_file(required(flags, "model"));
   const auto max_alarms = number<std::size_t>(flags, "max-alarms", 50);
 
-  serve::ServiceConfig scfg;  // zero-cost model: latency is measured, not simulated
   scfg.shards = shards_flag(flags, scfg.shards);
-  if (switch_on(flags, "shed")) scfg.overflow = serve::OverflowPolicy::kShed;
   scfg.engine.use_location = model.method != core::Method::DataMining;
   scfg.engine.raw_event_matching = model.method == core::Method::DataMining;
   serve::PredictionService service(trace.topology, model, scfg);
@@ -428,28 +455,19 @@ int cmd_serve(const Flags& flags) {
   return 0;
 }
 
-serve::OverflowPolicy policy_for(const std::string& name) {
-  if (name == "block" || name.empty()) return serve::OverflowPolicy::kBlock;
-  if (name == "drop-oldest") return serve::OverflowPolicy::kDropOldest;
-  if (name == "shed") return serve::OverflowPolicy::kShed;
-  throw std::runtime_error("unknown --policy '" + name +
-                           "' (want block, drop-oldest or shed)");
-}
-
 int cmd_chaos(const Flags& flags) {
-  const auto trace =
-      trace_from_log(required(flags, "log"), required(flags, "system"));
+  const System system = system_flag(flags);
+  serve::ServiceConfig scfg;
+  scfg.overflow = policy_flag(flags);
+  const auto trace = trace_from_log(required(flags, "log"), system);
   const auto model = core::load_model_file(required(flags, "model"));
   const auto seed = number<std::uint64_t>(flags, "seed", 42);
   const auto plan = faultinject::FaultPlan::parse(
       flags.count("plan") ? flags.at("plan") : std::string("all"), seed);
 
-  serve::ServiceConfig scfg;
   scfg.shards = shards_flag(flags, scfg.shards);
   scfg.engine.use_location = model.method != core::Method::DataMining;
   scfg.engine.raw_event_matching = model.method == core::Method::DataMining;
-  scfg.overflow =
-      policy_for(flags.count("policy") ? flags.at("policy") : std::string{});
   // A soak wants the watchdog to bite within the run, not after 2 s of
   // real time: scan fast, trip fast.
   scfg.watchdog_interval_ms = 20;
@@ -545,7 +563,7 @@ bool predictions_equal(const std::vector<core::Prediction>& a,
 }
 
 int cmd_mine(const Flags& flags) {
-  const auto& system = required(flags, "system");
+  const System system = system_flag(flags);
   const double days = required_number(flags, "days", kMinDays, kMaxDays);
   const auto seed = number<std::uint64_t>(flags, "seed", 2012);
   const bool check = switch_on(flags, "check");
@@ -558,9 +576,7 @@ int cmd_mine(const Flags& flags) {
   // Regenerate the campaign (deterministic in system/days/seed) — the
   // online≡batch comparison needs the exact record stream, not a log file
   // whose parse could diverge.
-  auto scenario = system == "mercury"
-                      ? simlog::make_mercury_scenario(seed, days)
-                      : simlog::make_bluegene_scenario(seed, days);
+  auto scenario = scenario_for(system, seed, days);
   const auto trace = scenario.generator.generate(scenario.config);
 
   const mining::MinerConfig mcfg;
@@ -687,27 +703,24 @@ double interval_at(const advisor::AdvisorConfig& ad, double C,
 }
 
 int cmd_advise(const Flags& flags) {
-  const auto& system = required(flags, "system");
+  const System system = system_flag(flags);
   const double days = required_number(flags, "days", kMinDays, kMaxDays);
   const auto seed = number<std::uint64_t>(flags, "seed", 2012);
   const auto chaos_seed = number<std::uint64_t>(flags, "chaos-seed", 42);
   const bool check = switch_on(flags, "check");
-  auto scenario = system == "mercury"
-                      ? simlog::make_mercury_scenario(seed, days)
-                      : simlog::make_bluegene_scenario(seed, days);
+  advisor::AdvisorServiceConfig acfg;
+  acfg.serve.overflow = policy_flag(flags);
+  auto scenario = scenario_for(system, seed, days);
   const auto trace = scenario.generator.generate(scenario.config);
   const auto model = core::load_model_file(required(flags, "model"));
   const auto plan = faultinject::FaultPlan::parse(
       flags.count("plan") ? flags.at("plan") : std::string("none"),
       chaos_seed);
 
-  advisor::AdvisorServiceConfig acfg;
   acfg.serve.shards = shards_flag(flags, acfg.serve.shards);
   acfg.serve.engine.use_location = model.method != core::Method::DataMining;
   acfg.serve.engine.raw_event_matching =
       model.method == core::Method::DataMining;
-  acfg.serve.overflow =
-      policy_for(flags.count("policy") ? flags.at("policy") : std::string{});
   // Same fast watchdog as a chaos soak: bite within the run.
   acfg.serve.watchdog_interval_ms = 20;
   acfg.serve.watchdog_deadline_ms = 250;
@@ -940,7 +953,8 @@ int main(int argc, char** argv) {
       {"inspect", cmd_inspect, {"model"}},
       {"predict", cmd_predict, {"system", "log", "model", "max-alarms"}},
       {"serve", cmd_serve,
-       {"system", "log", "model", "shards", "speedup", "shed", "max-alarms"}},
+       {"system", "log", "model", "shards", "speedup", "policy",
+        "max-alarms"}},
       {"chaos", cmd_chaos,
        {"system", "log", "model", "plan", "seed", "shards", "policy",
         "speedup"}},
